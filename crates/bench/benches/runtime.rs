@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the runtime-adjacent tooling: the DLX core
-//! interpreter, the LCS Atom synthesis, and the waveform reconstruction.
+//! interpreter, the LCS Atom synthesis, the waveform reconstruction, and
+//! SI dispatch on a settled manager.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rispp::core::synthesis::{h264_data_paths, propose_atoms};
@@ -81,6 +82,22 @@ fn bench_runtime(c: &mut Criterion) {
         let atoms = atom_set();
         b.iter(|| render_waveform(black_box(&trace), &atoms, 6, end, 96))
     });
+
+    // One dispatch is tens of nanoseconds: time a million of them. Kept
+    // last because the sample size sticks to the group.
+    group
+        .sample_size(1_000_000)
+        .bench_function("execute_si_settled", |b| {
+            // SATD_4x4 (256 of the 283 SIs per macroblock) on the 4-container
+            // H.264 platform after its rotations landed, no sink.
+            let (lib, sis) = build_library();
+            let mut mgr = RisppManager::builder(lib, h264_fabric(4)).build();
+            mgr.forecast(0, ForecastValue::new(sis.satd_4x4, 1.0, 200_000.0, 500.0));
+            let done = mgr.all_rotations_done_at().expect("rotations queued");
+            mgr.advance_to(done).expect("time moves forward");
+            assert!(mgr.execute_si(0, sis.satd_4x4).hardware);
+            b.iter(|| mgr.execute_si(0, black_box(sis.satd_4x4)))
+        });
 
     group.finish();
 }

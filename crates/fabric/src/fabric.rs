@@ -191,6 +191,10 @@ pub struct Fabric {
     pending_transients: VecDeque<(u64, ContainerId)>,
     /// Start-order sequence number of the next rotation.
     rotation_seq: u64,
+    /// Bumped on every container state change (see
+    /// [`Fabric::loaded_revision`]); only `set_container_state` writes a
+    /// container state, so no change can slip past it.
+    loaded_revision: u64,
     /// Structured-event sink (disabled by default). Cloning the fabric
     /// shares the sink, since handles are reference-counted.
     sink: SinkHandle,
@@ -238,6 +242,7 @@ impl Fabric {
             faults: FaultPlan::none(),
             pending_transients: VecDeque::new(),
             rotation_seq: 0,
+            loaded_revision: 0,
             sink: SinkHandle::null(),
             prof: ProfHandle::null(),
         }
@@ -363,22 +368,56 @@ impl Fabric {
     }
 
     /// Records that the Atoms of `used` were exercised at the current time
-    /// (for LRU-style replacement decisions). For each kind, the
-    /// most-recently-loaded containers are touched first.
+    /// (for LRU-style replacement decisions): touches the containers of
+    /// [`Fabric::touch_set`].
     pub fn touch_atoms(&mut self, used: &Molecule) {
+        let set: Vec<ContainerId> = self.touch_set(used).collect();
+        self.touch_containers(&set);
+    }
+
+    /// The containers [`Fabric::touch_atoms`] updates for `used`: for each
+    /// kind of `used`, the first `count` containers holding it loaded, in
+    /// index order. It depends on container states only, so it stays valid
+    /// until [`Fabric::loaded_revision`] moves.
+    pub fn touch_set<'a>(&'a self, used: &'a Molecule) -> impl Iterator<Item = ContainerId> + 'a {
+        used.iter_nonzero().flat_map(move |(kind, count)| {
+            self.iter_containers()
+                .filter(move |(_, c)| c.loaded_kind() == Some(kind))
+                .map(|(id, _)| id)
+                .take(count as usize)
+        })
+    }
+
+    /// Marks the containers `ids` as used at the current time (LRU
+    /// metadata only; no container changes state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range.
+    pub fn touch_containers(&mut self, ids: &[ContainerId]) {
         let now = self.clock.now();
-        for (kind, count) in used.iter_nonzero() {
-            let mut remaining = count;
-            for c in self.containers.iter_mut() {
-                if remaining == 0 {
-                    break;
-                }
-                if c.loaded_kind() == Some(kind) {
-                    c.touch(now);
-                    remaining -= 1;
-                }
-            }
+        for id in ids {
+            self.containers[id.index()].touch(now);
         }
+    }
+
+    /// A counter that moves whenever any container changes state (a
+    /// rotation starting, completing or failing, a quarantine, a transient
+    /// fault), and at no other time. Equal revisions therefore mean an
+    /// equal [`Fabric::loaded_molecule`] and equal [`Fabric::touch_set`]s,
+    /// so callers may cache anything derived from the loaded Atoms under
+    /// it. Touches, owner changes, no-op advances and cancelled queued
+    /// rotations leave it alone.
+    #[must_use]
+    pub fn loaded_revision(&self) -> u64 {
+        self.loaded_revision
+    }
+
+    /// The one place a container changes state; bumps
+    /// [`Fabric::loaded_revision`].
+    fn set_container_state(&mut self, id: ContainerId, state: ContainerState) {
+        self.containers[id.index()].set_state(state);
+        self.loaded_revision += 1;
     }
 
     /// The Meta-Molecule of all *usable* (fully loaded) Atoms.
@@ -614,7 +653,7 @@ impl Fabric {
             .pop_front()
             .expect("caller checked a transient is due");
         if let ContainerState::Loaded { kind } = self.containers[id.index()].state() {
-            self.containers[id.index()].set_state(ContainerState::Empty);
+            self.set_container_state(id, ContainerState::Empty);
             self.events.push(FabricEvent::ContainerFaulted {
                 container: id,
                 kind,
@@ -668,17 +707,17 @@ impl Fabric {
                 kind,
             });
             if bad {
-                self.containers[id.index()].set_state(ContainerState::Quarantined);
+                self.set_container_state(id, ContainerState::Quarantined);
                 self.events
                     .push(FabricEvent::ContainerQuarantined { container: id, at });
                 self.sink.emit_with(at, || Event::ContainerQuarantined {
                     container: id.index() as u32,
                 });
             } else {
-                self.containers[id.index()].set_state(ContainerState::Empty);
+                self.set_container_state(id, ContainerState::Empty);
             }
         } else {
-            self.containers[id.index()].set_state(ContainerState::Loaded { kind });
+            self.set_container_state(id, ContainerState::Loaded { kind });
             self.events.push(FabricEvent::RotationCompleted {
                 container: id,
                 kind,
@@ -712,7 +751,7 @@ impl Fabric {
         }
         let duration = self.catalog.rotation_cycles(kind, &self.clock);
         let (done_at, stalls) = self.stalled_finish(at, duration);
-        self.containers[id.index()].set_state(ContainerState::Loading { kind, done_at });
+        self.set_container_state(id, ContainerState::Loading { kind, done_at });
         self.events.push(FabricEvent::RotationStarted {
             container: id,
             kind,
@@ -881,6 +920,57 @@ mod tests {
         f.touch_atoms(&Molecule::from_counts([1, 0, 0, 0]));
         assert_eq!(f.container(ContainerId(0)).last_used(), t + 10);
         assert_eq!(f.container(ContainerId(1)).last_used(), 0);
+    }
+
+    #[test]
+    fn touch_set_takes_the_first_loaded_containers_in_index_order() {
+        let mut f = fabric(4);
+        for (c, k) in [(0, 1), (1, 0), (2, 1), (3, 1)] {
+            f.request_rotation(ContainerId(c), AtomKind(k)).unwrap();
+        }
+        f.advance_to(f.all_rotations_done_at().unwrap()).unwrap();
+        let set =
+            |m: [u32; 4]| -> Vec<ContainerId> { f.touch_set(&Molecule::from_counts(m)).collect() };
+        assert_eq!(
+            set([1, 2, 0, 0]),
+            vec![ContainerId(1), ContainerId(0), ContainerId(2)]
+        );
+        assert!(set([0, 0, 0, 0]).is_empty());
+    }
+
+    #[test]
+    fn revision_moves_on_state_changes_only() {
+        let mut f = fabric(2);
+        assert_eq!(f.loaded_revision(), 0);
+        f.request_rotation(ContainerId(0), AtomKind(0)).unwrap();
+        let started = f.loaded_revision();
+        assert!(started > 0, "a rotation start empties the container");
+
+        // Queue a second rotation behind the port and cancel it: nothing
+        // ever reached a container.
+        f.request_rotation(ContainerId(1), AtomKind(1)).unwrap();
+        assert_eq!(f.loaded_revision(), started);
+        assert!(f.cancel_pending(ContainerId(1)));
+        assert_eq!(f.loaded_revision(), started);
+        f.request_rotation(ContainerId(1), AtomKind(1)).unwrap();
+        assert_eq!(f.cancel_all_pending(), 1);
+        assert_eq!(f.loaded_revision(), started);
+
+        let done = f.next_completion().unwrap();
+        f.advance_to(done).unwrap();
+        let loaded = f.loaded_revision();
+        assert!(loaded > started, "a completion loads the Atom");
+
+        // A no-op advance, a touch and an owner change leave it alone.
+        f.advance_to(done).unwrap();
+        assert_eq!(f.loaded_revision(), loaded);
+        f.advance_to(done + 1_000).unwrap();
+        assert_eq!(f.loaded_revision(), loaded);
+        f.touch_atoms(&Molecule::from_counts([1, 0, 0, 0]));
+        assert_eq!(f.container(ContainerId(0)).last_used(), done + 1_000);
+        assert_eq!(f.loaded_revision(), loaded);
+        f.set_owner(ContainerId(0), Some(3)).unwrap();
+        assert_eq!(f.loaded_revision(), loaded);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property tests on the fabric: conservation of Atoms, single-port
-//! serialisation, and time consistency under arbitrary request/advance
-//! interleavings.
+//! serialisation, time consistency and loaded-Atom revision soundness
+//! under arbitrary request/advance interleavings.
 
 use proptest::prelude::*;
 use rispp_core::atom::{AtomKind, AtomSet};
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
-use rispp_fabric::container::ContainerId;
+use rispp_fabric::container::{ContainerId, ContainerState};
 use rispp_fabric::fabric::{Fabric, FabricError, FabricEvent};
+use rispp_fabric::fault::FaultPlan;
 
 const KINDS: usize = 3;
 
@@ -168,5 +169,54 @@ proptest! {
         let earlier = fabric.advance_to(delta.saturating_sub(1));
         let ok = matches!(earlier, Err(FabricError::TimeReversal { .. }) | Ok(_));
         prop_assert!(ok);
+    }
+
+    /// Under a seeded fault plan (CRC failures, bad containers, transient
+    /// faults, port stalls), the loaded-Atom revision never moves
+    /// backwards, and whenever the loaded Meta-Molecule or any container
+    /// state differs from the previous step, the revision differs too —
+    /// the invariant every cache keyed on it relies on.
+    #[test]
+    fn revision_moves_whenever_loaded_atoms_change(
+        containers in 1usize..5,
+        seed in any::<u64>(),
+        actions in proptest::collection::vec(action(4), 1..60),
+    ) {
+        let plan = FaultPlan::seeded(seed, containers, 1_000_000);
+        let mut fabric = make_fabric(containers).with_faults(plan);
+        let states = |f: &Fabric| -> Vec<ContainerState> {
+            f.iter_containers().map(|(_, c)| c.state()).collect()
+        };
+        let mut revision = fabric.loaded_revision();
+        let mut loaded = fabric.loaded_molecule();
+        let mut before = states(&fabric);
+        for a in actions {
+            match a {
+                Action::Request { container, kind } => {
+                    if container < containers {
+                        let _ = fabric.request_rotation(
+                            ContainerId(container),
+                            AtomKind(kind),
+                        );
+                    }
+                }
+                Action::Advance { delta } => {
+                    let t = fabric.now() + delta;
+                    fabric.advance_to(t).unwrap();
+                }
+                Action::Cancel { container } => {
+                    let _ = fabric.cancel_pending(ContainerId(container));
+                }
+            }
+            let now_loaded = fabric.loaded_molecule();
+            let after = states(&fabric);
+            prop_assert!(fabric.loaded_revision() >= revision);
+            if now_loaded != loaded || after != before {
+                prop_assert_ne!(fabric.loaded_revision(), revision);
+            }
+            revision = fabric.loaded_revision();
+            loaded = now_loaded;
+            before = after;
+        }
     }
 }

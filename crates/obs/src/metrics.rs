@@ -845,10 +845,7 @@ impl EventSink for MetricsSink {
                 if let Some(w) = forecast {
                     w.executed = true;
                     self.executions_forecast += 1;
-                    self.by_pair
-                        .entry((*task, si.index()))
-                        .or_default()
-                        .executions_in_window += 1;
+                    stats.executions_in_window += 1;
                 }
                 if *hw {
                     self.hw_executions += 1;

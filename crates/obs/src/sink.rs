@@ -28,64 +28,64 @@ impl EventSink for NullSink {
     fn emit(&mut self, _at: u64, _event: &Event) {}
 }
 
-/// A shareable, optionally-disabled handle to an [`EventSink`].
+/// A shareable, optionally-disabled handle to a flat list of
+/// [`EventSink`]s.
 ///
 /// Producers (fabric, manager, engine) hold a `SinkHandle` and call
 /// [`SinkHandle::emit_with`] at each event site. A disabled handle
-/// (`SinkHandle::null`) reduces the call to one branch and never runs the
-/// event-construction closure, so instrumented code stays effectively free
-/// when observability is off.
+/// (`SinkHandle::null`, an empty list) reduces the call to one emptiness
+/// check and never runs the event-construction closure, so instrumented
+/// code stays effectively free when observability is off. An enabled
+/// handle costs one borrow and one dynamic call per sink.
 ///
-/// Cloning shares the underlying sink (it is reference-counted): the
+/// Cloning shares the underlying sinks (they are reference-counted): the
 /// fabric and the manager can report into the same `CountersSink`.
 #[derive(Clone, Default)]
 pub struct SinkHandle {
-    inner: Option<Rc<RefCell<dyn EventSink>>>,
+    sinks: Vec<Rc<RefCell<dyn EventSink>>>,
 }
 
 impl SinkHandle {
     /// The disabled handle: every emit is a no-op branch.
     #[must_use]
     pub fn null() -> Self {
-        SinkHandle { inner: None }
+        SinkHandle { sinks: Vec::new() }
     }
 
     /// Wraps an owned sink.
     #[must_use]
     pub fn new<S: EventSink + 'static>(sink: S) -> Self {
-        SinkHandle {
-            inner: Some(Rc::new(RefCell::new(sink))),
-        }
+        SinkHandle::shared(Rc::new(RefCell::new(sink)))
     }
 
     /// Wraps an already-shared sink, so the caller can keep reading it
     /// (e.g. a `Rc<RefCell<TimelineSink>>` the engine later queries).
     #[must_use]
     pub fn shared<S: EventSink + 'static>(sink: Rc<RefCell<S>>) -> Self {
-        SinkHandle { inner: Some(sink) }
+        SinkHandle { sinks: vec![sink] }
     }
 
-    /// Fans one handle out to two sinks (both receive every event).
-    /// Disabled operands collapse away: tee-ing with a null handle
-    /// returns the other handle unchanged.
+    /// Concatenates the sink lists of two handles: every sink of `a`,
+    /// then every sink of `b`, receives each event, in that order. Teeing
+    /// with a null handle returns the other handle unchanged, and nested
+    /// tees stay one flat list.
     #[must_use]
-    pub fn tee(a: SinkHandle, b: SinkHandle) -> SinkHandle {
-        match (a.is_enabled(), b.is_enabled()) {
-            (true, true) => SinkHandle::new(Tee(a, b)),
-            (true, false) => a,
-            _ => b,
-        }
+    pub fn tee(mut a: SinkHandle, b: SinkHandle) -> SinkHandle {
+        a.sinks.extend(b.sinks);
+        a
     }
 
     /// Whether events will actually be consumed.
+    #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        !self.sinks.is_empty()
     }
 
-    /// Emits one event.
+    /// Emits one event to every sink, in list order.
+    #[inline]
     pub fn emit(&self, at: u64, event: &Event) {
-        if let Some(sink) = &self.inner {
+        for sink in &self.sinks {
             sink.borrow_mut().emit(at, event);
         }
     }
@@ -93,9 +93,10 @@ impl SinkHandle {
     /// Emits the event produced by `f`, constructing it only when the
     /// handle is enabled. Use this at every producer site whose event
     /// carries owned data (Molecule clones).
+    #[inline]
     pub fn emit_with(&self, at: u64, f: impl FnOnce() -> Event) {
-        if let Some(sink) = &self.inner {
-            sink.borrow_mut().emit(at, &f());
+        if !self.sinks.is_empty() {
+            self.emit(at, &f());
         }
     }
 }
@@ -105,16 +106,6 @@ impl fmt::Debug for SinkHandle {
         f.debug_struct("SinkHandle")
             .field("enabled", &self.is_enabled())
             .finish()
-    }
-}
-
-/// Fan-out of one event stream to two handles (see [`SinkHandle::tee`]).
-struct Tee(SinkHandle, SinkHandle);
-
-impl EventSink for Tee {
-    fn emit(&mut self, at: u64, event: &Event) {
-        self.0.emit(at, event);
-        self.1.emit(at, event);
     }
 }
 
@@ -170,5 +161,34 @@ mod tests {
         solo.emit(1, &ev());
         assert_eq!(left.borrow().0, 2);
         assert!(!SinkHandle::tee(SinkHandle::null(), SinkHandle::null()).is_enabled());
+
+        // Nested tees on either side flatten: each sink receives every
+        // event exactly once, in tee order.
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let tagged = |tag: u8| {
+            SinkHandle::shared(Rc::new(RefCell::new(Tagged {
+                tag,
+                log: order.clone(),
+            })))
+        };
+        let nested = SinkHandle::tee(
+            SinkHandle::tee(tagged(0), SinkHandle::tee(tagged(1), SinkHandle::null())),
+            SinkHandle::tee(SinkHandle::tee(tagged(2), tagged(3)), tagged(4)),
+        );
+        nested.emit(2, &ev());
+        nested.emit_with(3, ev);
+        assert_eq!(*order.borrow(), [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]);
+    }
+
+    /// Appends its tag to a shared log on every event.
+    struct Tagged {
+        tag: u8,
+        log: Rc<RefCell<Vec<u8>>>,
+    }
+
+    impl EventSink for Tagged {
+        fn emit(&mut self, _at: u64, _event: &Event) {
+            self.log.borrow_mut().push(self.tag);
+        }
     }
 }

@@ -10,7 +10,6 @@
 //! fabric actually did.
 
 use rispp_core::atom::AtomKind;
-use rispp_core::molecule::Molecule;
 use rispp_fabric::container::ContainerId;
 use rispp_fabric::fabric::{Fabric, FabricError};
 
@@ -33,10 +32,10 @@ pub enum Command<'a> {
         /// Task the rotation is attributed to.
         owner: Option<TaskId>,
     },
-    /// Marks the Atoms of a Molecule as used (LRU metadata for the
-    /// replacement policy). Borrowed: dispatch is the hot path and must
-    /// not clone the Molecule.
-    Touch(&'a Molecule),
+    /// Marks containers as used (LRU metadata for the replacement
+    /// policy): the [`Fabric::touch_set`] of the dispatched Molecule.
+    /// Borrowed: dispatch is the hot path and must not clone the set.
+    Touch(&'a [ContainerId]),
 }
 
 /// Applies one command to the fabric and mirrors it into the ledger.
@@ -70,8 +69,8 @@ pub(crate) fn apply(
             ledger.note_rotation_requested(fabric.catalog().profile(kind).bitstream_bytes);
             Ok(())
         }
-        Command::Touch(molecule) => {
-            fabric.touch_atoms(molecule);
+        Command::Touch(containers) => {
+            fabric.touch_containers(containers);
             Ok(())
         }
     }

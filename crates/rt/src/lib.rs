@@ -14,6 +14,8 @@
 //!   accounting;
 //! * [`policy`] — Atom-Container replacement policies picking rotation
 //!   victims;
+//! * `dispatch` (internal) — each SI's fastest loaded Molecule and its
+//!   LRU touch set, cached until the fabric's loaded Atoms change;
 //! * [`manager`] — the imperative shell: the only layer that mutates the
 //!   fabric (through one command-application site), emits events and
 //!   reads the clock. It **dispatches** SI executions to the fastest
@@ -35,6 +37,7 @@
 #![deny(deprecated)]
 
 pub mod command;
+mod dispatch;
 pub mod forecast;
 pub mod manager;
 pub mod policy;

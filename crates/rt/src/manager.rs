@@ -31,6 +31,7 @@ use rispp_fabric::fabric::{Fabric, FabricError, FabricEvent};
 use rispp_obs::{phase, Event, ProfHandle, ReselectTrigger, SinkHandle};
 
 use crate::command::{self, Command};
+use crate::dispatch::DispatchTable;
 use crate::forecast::ForecastStore;
 use crate::policy::{LruSurplusPolicy, ReplacementPolicy};
 use crate::rotation::{BackoffGovernor, RotationPlan, RotationSchedulePolicy};
@@ -95,6 +96,9 @@ pub struct RisppManager<P = LruSurplusPolicy, S = GreedySelection, R = RotationS
     scheduler: R,
     ledger: StatsLedger,
     backoff: BackoffGovernor,
+    /// Each SI's fastest loaded Molecule and its touch set, refreshed
+    /// lazily when the fabric's loaded-Atom revision moves.
+    dispatch: DispatchTable,
     /// Structured-event sink (disabled by default); shared with the fabric
     /// so rotation and manager events interleave in one stream.
     sink: SinkHandle,
@@ -266,7 +270,10 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     }
 
     /// Executes one SI for `task` using the fastest loaded Molecule, or
-    /// software when none fits. Updates LRU metadata and statistics.
+    /// software when none fits. Updates LRU metadata and statistics. The
+    /// choice is cached per SI until a container changes state (see
+    /// [`Fabric::loaded_revision`]), so a dispatch between two rotation
+    /// events costs an index lookup.
     ///
     /// # Panics
     ///
@@ -293,14 +300,14 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
             id: si.index(),
             library_len: self.lib.len(),
         })?;
-        let loaded = self.fabric.loaded_molecule();
-        let best = def.best_available(&loaded);
+        let entry = self.dispatch.lookup(si, def, &self.fabric);
+        let best = entry.best.map(|i| &def.molecules()[i]);
         let record = match best {
             Some(m) => {
                 command::apply(
                     &mut self.fabric,
                     &mut self.ledger,
-                    &Command::Touch(&m.molecule),
+                    &Command::Touch(&entry.touch),
                 )
                 .expect("touch is infallible");
                 ExecutionRecord {

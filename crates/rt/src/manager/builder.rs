@@ -7,6 +7,7 @@ use rispp_core::si::SiLibrary;
 use rispp_fabric::fabric::Fabric;
 use rispp_obs::{ProfHandle, SinkHandle};
 
+use crate::dispatch::DispatchTable;
 use crate::forecast::ForecastStore;
 use crate::policy::{LruSurplusPolicy, ReplacementPolicy};
 use crate::rotation::{BackoffGovernor, RetryPolicy, RotationSchedulePolicy, RotationStrategy};
@@ -227,6 +228,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             "SI library and fabric must agree on the atom kinds"
         );
         let ledger = StatsLedger::new(self.lib.len());
+        let dispatch = DispatchTable::new(self.lib.len(), self.fabric.num_containers());
         let mut fabric = self.fabric;
         fabric.set_sink(SinkHandle::tee(fabric.sink().clone(), self.sink.clone()));
         fabric.set_profiler(self.prof.clone());
@@ -240,6 +242,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             scheduler: self.schedule_policy,
             ledger,
             backoff: BackoffGovernor::new(self.retry_policy),
+            dispatch,
             sink: self.sink,
             prof: self.prof,
             deterministic_timing: self.deterministic_timing,
