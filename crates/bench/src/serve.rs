@@ -202,10 +202,15 @@ impl Follower {
             }
             FollowState::Jsonl { carry, lines } => {
                 carry.extend_from_slice(bytes);
-                // Replay every complete line; keep the partial tail.
-                while let Some(nl) = carry.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = carry.drain(..=nl).collect();
-                    let text = std::str::from_utf8(&line[..nl]).map_err(invalid_data)?;
+                // Replay every complete line, walking them by index, then
+                // drop them in one drain: the partial tail stays. (Draining
+                // line by line would shift the rest of the buffer each
+                // time, quadratic in the lines per poll.)
+                let mut start = 0;
+                while let Some(nl) = carry[start..].iter().position(|&b| b == b'\n') {
+                    let line = &carry[start..start + nl];
+                    start += nl + 1;
+                    let text = std::str::from_utf8(line).map_err(invalid_data)?;
                     if text.trim().is_empty() {
                         continue;
                     }
@@ -220,6 +225,7 @@ impl Follower {
                     sink.emit(record.at, &record.event);
                     emitted += 1;
                 }
+                carry.drain(..start);
             }
         }
         Ok(emitted)
@@ -503,8 +509,12 @@ impl FleetState {
 
     /// Evaluates the alert rules (if any) against the current fleet
     /// aggregate with live hold-for semantics. Called on every poll by
-    /// the tail loop.
+    /// the tail loop; without rules it builds no aggregate, which would
+    /// settle a clone of every shard's sink only to discard it.
     pub fn evaluate_alerts(&mut self) {
+        if self.alerts.is_none() {
+            return;
+        }
         let now = self.now();
         let (summary, window, records, reopens) = self.aggregates();
         if let Some(engine) = &mut self.alerts {
@@ -515,16 +525,19 @@ impl FleetState {
     }
 
     /// Final one-shot evaluation for the `--check` gate. Returns `true`
-    /// when any rule fires on the end-of-log aggregate.
+    /// when any rule fires on the end-of-log aggregate (never without
+    /// rules, in which case no aggregate is built).
     pub fn check_alerts_final(&mut self) -> bool {
+        if self.alerts.is_none() {
+            return false;
+        }
         let now = self.now();
         let (summary, window, records, reopens) = self.aggregates();
-        match &mut self.alerts {
-            Some(engine) => engine.check_final(now, |name| {
+        self.alerts.as_mut().is_some_and(|engine| {
+            engine.check_final(now, |name| {
                 metric_value(name, &summary, &window, records, reopens)
-            }),
-            None => false,
-        }
+            })
+        })
     }
 
     /// The `/metrics` Prometheus exposition. One shard keeps the full
@@ -1213,16 +1226,21 @@ mod tests {
         let path = scratch("jsonl");
         let mut follower = Follower::new(&path);
         let mut sink = TimelineSink::new();
-        // Cut mid-line (and mid-UTF-8 is impossible here, but mid-line
-        // carries exercise the carry buffer).
-        let cuts = [7, bytes.len() / 2, bytes.len()];
+        // Cut inside the `{"schema_version":1}` header line, before and
+        // after the format probe has its four bytes, then mid-line (and
+        // mid-UTF-8 is impossible here, but mid-line carries exercise the
+        // carry buffer).
+        let cuts = [3, 7, bytes.len() / 2, bytes.len()];
         let mut total = 0;
         for cut in cuts {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             total += follower.poll(&mut sink).unwrap();
         }
         assert_eq!(follower.format(), Some("jsonl"));
-        assert_eq!(total, offline_record_count(&bytes));
+        let mut offline = TimelineSink::new();
+        jsonl::replay(std::str::from_utf8(&bytes).unwrap(), &mut offline).unwrap();
+        assert_eq!(sink.timeline().entries(), offline.timeline().entries());
+        assert_eq!(total, offline.timeline().len() as u64);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -37,8 +37,28 @@
 //!   Encoder and decoder grow the table in lockstep, so repeated
 //!   Molecules (the overwhelmingly common case) cost one byte.
 //!
+//! A record body is at most [`MAX_RECORD_BYTES`] long, room for any
+//! record carrying a Molecule of up to [`MAX_MOLECULE_KINDS`] Atom kinds.
+//! The encoder refuses wider Molecules; decoders refuse a longer length
+//! prefix as soon as they have read it, so a hostile prefix can neither
+//! overflow the record arithmetic nor make a decoder buffer without
+//! bound.
+//!
 //! Like [`JsonlSink`](crate::JsonlSink), an untouched sink writes
 //! nothing — the header is emitted lazily with the first event.
+//!
+//! ## Decoding
+//!
+//! [`StreamDecoder`] mirrors the encoder's fast path. Before the general
+//! length-prefix parse it recognises exactly the 9- and 10-byte
+//! `SiExecuted` records that path writes: a one-byte length of 8 or 9,
+//! the tag, a two-byte timestamp delta, flags ≤ `0b11`, one-byte task
+//! and SI, a two-byte cycle count and, exactly when flag bit 1 is set, a
+//! one-byte index into the intern table. Such a record is read at fixed
+//! offsets. Every other record — a differently padded `SiExecuted`, one
+//! introducing a new Molecule, any malformed body — takes the general
+//! path, so both paths accept the same streams, decode the same records
+//! and report the same errors at the same offsets.
 
 use std::error::Error;
 use std::fmt;
@@ -60,6 +80,21 @@ pub const MAGIC: [u8; 4] = [0x8B, b'R', b'S', b'P'];
 /// decodes). Streams carrying a newer version are refused, never
 /// misread.
 pub const BIN_SCHEMA_VERSION: u64 = 1;
+
+/// Widest [`Molecule`] (in Atom kinds) a stream may carry. The encoder
+/// panics on a wider one rather than write a record decoders would
+/// refuse; platforms in this repository have at most six kinds.
+pub const MAX_MOLECULE_KINDS: usize = 1 << 16;
+
+/// Longest record body decoders accept. A longer length prefix is a
+/// [`BinError`] at the record's offset as soon as it has been read.
+pub const MAX_RECORD_BYTES: usize = 512 * 1024;
+
+// The longest body the encoder writes: `SiExecuted` introducing a
+// Molecule — tag 1, delta 10, flags 1, task 5, si 10, cycles 10 and
+// table index 10 bytes, the definition's length (3 bytes up to
+// `MAX_MOLECULE_KINDS`) and five bytes per count.
+const _: () = assert!(47 + 3 + 5 * MAX_MOLECULE_KINDS <= MAX_RECORD_BYTES);
 
 /// Bytes buffered in a [`BinarySink`] before a batched write.
 const FLUSH_THRESHOLD: usize = 8 * 1024;
@@ -428,8 +463,13 @@ fn encode_record(
 /// Interns `molecule` (known absent from the table) and encodes the
 /// table reference with its inline definition.
 fn put_new_molecule(body: &mut Vec<u8>, table: &mut Vec<Molecule>, molecule: &Molecule) {
-    put_varint(body, table.len() as u64);
     let counts = molecule.as_slice();
+    assert!(
+        counts.len() <= MAX_MOLECULE_KINDS,
+        "molecule of {} atom kinds exceeds the binary format's {MAX_MOLECULE_KINDS}",
+        counts.len()
+    );
+    put_varint(body, table.len() as u64);
     put_varint(body, counts.len() as u64);
     for &c in counts {
         put_varint(body, u64::from(c));
@@ -620,7 +660,19 @@ impl Body<'_> {
         Ok(b)
     }
 
+    #[inline]
     fn varint(&mut self, what: &str) -> Result<u64, BinError> {
+        // Most fields (ids, kinds, small deltas and counts) fit one byte.
+        if let Some(&b) = self.bytes.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        self.long_varint(what)
+    }
+
+    fn long_varint(&mut self, what: &str) -> Result<u64, BinError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -807,11 +859,19 @@ fn decode_body(
 /// Tries to read a varint at `bytes[pos..]`. `Ok(None)` means the buffer
 /// ends mid-varint (feed more bytes); `Err` means the varint itself is
 /// malformed.
+#[inline]
 fn peek_varint(
     bytes: &[u8],
     mut pos: usize,
     offset: u64,
 ) -> Result<Option<(u64, usize)>, BinError> {
+    // Every record the encoder writes outside the cold Molecule path has
+    // a one-byte length prefix.
+    if let Some(&b) = bytes.get(pos) {
+        if b < 0x80 {
+            return Ok(Some((u64::from(b), pos + 1)));
+        }
+    }
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -831,6 +891,56 @@ fn peek_varint(
             return Err(err(offset, "varint overflow in length prefix"));
         }
     }
+}
+
+/// Decodes the record at the start of `bytes` (length prefix first) if it
+/// is one of the fixed-layout `SiExecuted` records the encoder's fast
+/// path writes, returning it with its length. `None` declines: the
+/// record has another layout, is malformed, or has not fully arrived,
+/// and the general path decides which. An accepted record decodes to
+/// exactly what [`decode_body`] returns for it, with the same update of
+/// `last_at`.
+#[inline(always)]
+fn decode_fixed_si_executed(
+    bytes: &[u8],
+    last_at: &mut u64,
+    table: &[Molecule],
+) -> Option<(Record, usize)> {
+    let &[len, tag, d0, d1, flags, task, si, c0, c1] = bytes.get(..9)? else {
+        return None;
+    };
+    // Both two-byte varints continue after their first byte only, every
+    // one-byte field has its high bit clear, and the length is 8, or 9
+    // exactly when flag bit 1 announces a Molecule index.
+    let has_molecule = flags >> 1 == 1;
+    if tag != tag::SI_EXECUTED
+        || d0 & c0 & 0x80 == 0
+        || (d1 | task | si | c1) & 0x80 != 0
+        || flags > 0b11
+        || usize::from(len) != 8 + usize::from(has_molecule)
+    {
+        return None;
+    }
+    let molecule = if has_molecule {
+        let ix = *bytes.get(9)?;
+        if ix >= 0x80 {
+            return None;
+        }
+        Some(table.get(usize::from(ix))?.clone())
+    } else {
+        None
+    };
+    let delta = unzigzag(u64::from(d0 & 0x7F) | u64::from(d1) << 7);
+    let at = last_at.wrapping_add(delta as u64);
+    *last_at = at;
+    let event = Event::SiExecuted {
+        task: u32::from(task),
+        si: SiId(usize::from(si)),
+        hw: flags & 0b01 != 0,
+        cycles: u64::from(c0 & 0x7F) | u64::from(c1) << 7,
+        molecule,
+    };
+    Some((Record { at, event }, 1 + usize::from(len)))
 }
 
 /// Incremental decoder for a binary event stream: feed byte chunks as
@@ -906,9 +1016,23 @@ impl StreamDecoder {
         if self.failed {
             return Err(err(self.offset, "stream already failed"));
         }
+        // The fixed layout first (see the module docs), inline; the
+        // header and every record it declines take the general path.
+        if self.header_done {
+            let avail = &self.buf[self.start..];
+            if let Some((record, n)) =
+                decode_fixed_si_executed(avail, &mut self.last_at, &self.table)
+            {
+                self.consume(n);
+                return Ok(Some(record));
+            }
+        }
         self.try_next().inspect_err(|_| self.failed = true)
     }
 
+    // Kept out of line so the fixed-layout path in `next_record` stays a
+    // small function.
+    #[inline(never)]
     fn try_next(&mut self) -> Result<Option<Record>, BinError> {
         if !self.header_done {
             let avail = self.avail();
@@ -950,9 +1074,19 @@ impl StreamDecoder {
         let Some((len, body_start)) = peek_varint(avail, 0, self.offset)? else {
             return Ok(None);
         };
-        let len =
-            usize::try_from(len).map_err(|_| err(self.offset, "record length exceeds usize"))?;
-        let Some(body) = avail.get(body_start..body_start + len) else {
+        let len = match usize::try_from(len) {
+            Ok(n) if n <= MAX_RECORD_BYTES => n,
+            _ => {
+                return Err(err(
+                    self.offset,
+                    format!("record length {len} exceeds the {MAX_RECORD_BYTES}-byte limit"),
+                ))
+            }
+        };
+        let Some(body) = body_start
+            .checked_add(len)
+            .and_then(|end| avail.get(body_start..end))
+        else {
             return Ok(None);
         };
         let record = decode_body(body, self.offset, &mut self.last_at, &mut self.table)?;
@@ -1533,5 +1667,229 @@ mod tests {
         let mut out = TimelineSink::new();
         replay(&bytes, &mut out).unwrap();
         assert_eq!(out.timeline().len(), 1);
+    }
+
+    /// Walks a valid stream record by record with the general decoder,
+    /// offering each record to the fixed-layout path first with the same
+    /// state. An accepted record must decode exactly as the general path
+    /// decodes it, to the same length, leaving `last_at` and the intern
+    /// table as the general path leaves them; a declined one must leave
+    /// `last_at` untouched. Returns how many records were accepted.
+    fn fixed_path_agreements(bytes: &[u8]) -> usize {
+        let (_, mut pos) = peek_varint(bytes, MAGIC.len(), 0).unwrap().unwrap();
+        let (mut last_at, mut table) = (0u64, Vec::new());
+        let mut accepted = 0;
+        while pos < bytes.len() {
+            let rest = &bytes[pos..];
+            let mut fast_at = last_at;
+            let fast = decode_fixed_si_executed(rest, &mut fast_at, &table);
+            let (at_before, table_before) = (last_at, table.clone());
+            let (len, body_start) = peek_varint(rest, 0, pos as u64).unwrap().unwrap();
+            let end = body_start + len as usize;
+            let record =
+                decode_body(&rest[body_start..end], pos as u64, &mut last_at, &mut table).unwrap();
+            match fast {
+                Some((fast_record, n)) => {
+                    assert_eq!(fast_record, record, "record at offset {pos}");
+                    assert_eq!(n, end, "length at offset {pos}");
+                    assert_eq!(fast_at, last_at, "last_at at offset {pos}");
+                    assert_eq!(table, table_before, "intern table at offset {pos}");
+                    accepted += 1;
+                }
+                None => assert_eq!(fast_at, at_before, "declined at offset {pos}"),
+            }
+            pos += end;
+        }
+        accepted
+    }
+
+    #[test]
+    fn fixed_layout_path_agrees_with_the_general_decoder() {
+        // Captured by `tests/fleet.rs::decoder_fixtures_equal_fresh_captures`.
+        let live_codec: &[u8] = include_bytes!("../tests/data/live_codec.bin");
+        let stress: &[u8] = include_bytes!("../tests/data/stress.bin");
+        let all = encode_all(&all_events());
+        // Both interned executions of `all_events` fit the fixed layout
+        // (the first one introduces its Molecule, so it does not).
+        assert_eq!(fixed_path_agreements(&all), 2);
+        for (name, bytes) in [("live_codec", live_codec), ("stress", stress)] {
+            let mut records = TimelineSink::new();
+            replay(bytes, &mut records).unwrap();
+            let accepted = fixed_path_agreements(bytes);
+            assert!(
+                accepted > 0 && accepted < records.timeline().len(),
+                "{name}: {accepted} of {} records took the fixed layout",
+                records.timeline().len()
+            );
+        }
+    }
+
+    /// A stream of `n` executions, each interning a new Molecule.
+    fn stream_interning(n: u32) -> Vec<u8> {
+        let records: Vec<Record> = (0..n)
+            .map(|k| Record {
+                at: 5,
+                event: Event::SiExecuted {
+                    task: 0,
+                    si: SiId(0),
+                    hw: true,
+                    cycles: 3,
+                    molecule: Some(Molecule::from_counts([k, 1])),
+                },
+            })
+            .collect();
+        encode_all(&records)
+    }
+
+    #[test]
+    fn malformed_fixed_size_bodies_fail_as_the_general_path_reports() {
+        // 9- and 10-byte records shaped like the fixed layout, each with
+        // one defect, after a stream that interned `n` Molecules (so
+        // index `n` is the table length).
+        let cases: [(u32, &[u8], &str); 11] = [
+            (
+                1,
+                &[8, 7, 0x81, 0, 0b100, 0, 0, 0x81, 0],
+                "unknown si_executed flags 0x4",
+            ),
+            (
+                1,
+                &[9, 7, 0x81, 0, 0b10, 0, 0, 0x81, 0, 1],
+                "truncated or malformed molecule length",
+            ),
+            (
+                1,
+                &[9, 7, 0x81, 0, 0b10, 0, 0, 0x81, 0, 5],
+                "molecule index 5 skips ahead of the intern table (len 1)",
+            ),
+            (
+                1,
+                &[9, 7, 0x81, 0, 0b01, 0, 0, 0x81, 0, 0],
+                "1 trailing bytes after record body",
+            ),
+            (
+                1,
+                &[8, 7, 0x81, 0, 0b11, 0, 0, 0x81, 0],
+                "truncated or malformed molecule index",
+            ),
+            // An index byte that continues, even where the table is long
+            // enough to hold its low bits.
+            (
+                0x81,
+                &[9, 7, 0x81, 0, 0b10, 0, 0, 0x81, 0, 0x80],
+                "truncated or malformed molecule index",
+            ),
+            // Varints that end early or run on.
+            (
+                1,
+                &[8, 7, 0x01, 0, 0, 0, 0, 0x81, 0],
+                "2 trailing bytes after record body",
+            ),
+            (
+                1,
+                &[8, 7, 0x81, 0x81, 0, 0, 0, 0x81, 0],
+                "truncated or malformed cycles",
+            ),
+            (
+                1,
+                &[8, 7, 0x81, 0, 0, 0x80, 0, 0x81, 0],
+                "truncated or malformed cycles",
+            ),
+            (
+                1,
+                &[8, 7, 0x81, 0, 0, 0, 0, 0x81, 0x81],
+                "truncated or malformed cycles",
+            ),
+            // Not the execution tag.
+            (
+                1,
+                &[8, 8, 0x81, 0, 0, 0, 0, 0x81, 0],
+                "truncated or malformed probability",
+            ),
+        ];
+        for (n, record, message) in cases {
+            let mut bytes = stream_interning(n);
+            let offset = bytes.len() as u64;
+            bytes.extend_from_slice(record);
+            let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
+            assert_eq!(e, err(offset, message), "record {record:?}");
+        }
+    }
+
+    /// A header, then `prefix` as a record length, then `tail` zero bytes.
+    fn oversized(prefix: u64, tail: usize) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        put_varint(&mut bytes, BIN_SCHEMA_VERSION);
+        put_varint(&mut bytes, prefix);
+        bytes.resize(bytes.len() + tail, 0);
+        bytes
+    }
+
+    #[test]
+    fn oversized_length_prefixes_fail_at_the_record_offset() {
+        let header_len = (MAGIC.len() + 1) as u64;
+        for prefix in [u64::MAX, 1 << 40, MAX_RECORD_BYTES as u64 + 1] {
+            let bytes = oversized(prefix, 4 << 20);
+            let expected = err(
+                header_len,
+                format!("record length {prefix} exceeds the {MAX_RECORD_BYTES}-byte limit"),
+            );
+
+            // Fed as a follower feeds it: the error comes with the first
+            // chunk, so nothing past the prefix is ever buffered.
+            let mut decoder = StreamDecoder::new();
+            let mut chunks = bytes.chunks(8 * 1024);
+            decoder.feed(chunks.next().unwrap());
+            assert_eq!(decoder.next_record(), Err(expected.clone()));
+            assert!(decoder.pending_bytes() <= 8 * 1024);
+
+            assert_eq!(
+                replay(&bytes, &mut TimelineSink::new()),
+                Err(expected.clone())
+            );
+
+            let e = BinaryReader::new(&bytes[..])
+                .find_map(Result::err)
+                .expect("reader fails");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            let inner = e.get_ref().and_then(|e| e.downcast_ref::<BinError>());
+            assert_eq!(inner, Some(&expected));
+        }
+        // A prefix at the limit is merely incomplete.
+        let mut decoder = StreamDecoder::new();
+        decoder.feed(&oversized(MAX_RECORD_BYTES as u64, 64));
+        assert_eq!(decoder.next_record(), Ok(None));
+    }
+
+    #[test]
+    fn the_widest_molecule_fits_the_record_limit() {
+        let records = vec![Record {
+            at: u64::MAX,
+            event: Event::SiExecuted {
+                task: u32::MAX,
+                si: SiId(usize::MAX),
+                hw: true,
+                cycles: u64::MAX,
+                molecule: Some(Molecule::from_counts(vec![u32::MAX; MAX_MOLECULE_KINDS])),
+            },
+        }];
+        let bytes = encode_all(&records);
+        let mut out = TimelineSink::new();
+        replay(&bytes, &mut out).unwrap();
+        assert_eq!(out.timeline().entries(), records.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the binary format")]
+    fn the_encoder_refuses_a_wider_molecule() {
+        encode_all(&[Record {
+            at: 0,
+            event: Event::UpgradeStep {
+                si: SiId(0),
+                task: None,
+                step: 0,
+                molecule: Molecule::from_counts(vec![0; MAX_MOLECULE_KINDS + 1]),
+            },
+        }]);
     }
 }

@@ -3,7 +3,9 @@
 //! any order — encodes through [`BinarySink`] and decodes back to the
 //! identical `Vec<Event>` (and timestamps), both via the one-shot
 //! [`bin::replay`] and via the incremental [`StreamDecoder`] fed in
-//! arbitrary chunk sizes.
+//! arbitrary chunk sizes. Small-field `SiExecuted` streams, whose fields
+//! sit on either side of the fixed layout the encoder and the decoder
+//! special-case, round-trip through the decoder in random chunkings.
 
 use proptest::prelude::*;
 use rispp_core::atom::AtomKind;
@@ -121,6 +123,85 @@ fn records_strategy() -> impl Strategy<Value = Vec<Record>> {
     )
 }
 
+/// The Molecule a small-field execution carries.
+#[derive(Debug, Clone)]
+enum MoleculeChoice {
+    Absent,
+    /// One the stream has not seen yet.
+    New,
+    /// An interned one: this value modulo the intern table's length (a
+    /// new one while the table is empty).
+    Repeat(usize),
+}
+
+/// A Molecule distinct from every other `interned(j)`, `j != k`.
+fn interned(k: usize) -> Molecule {
+    Molecule::from_counts([k as u32, 1, 2])
+}
+
+/// `SiExecuted` streams whose fields straddle the encoder's fixed layout
+/// (and so the decoder's): small timestamp steps either way, delta and
+/// cycle varints at 0x3FFF / 0x4000, task, SI and intern index at 0x7F /
+/// 0x80, and Molecules absent, new or repeated. A stream first interns
+/// 0, 3, 128 or 129 Molecules, so indices 0x7F and 0x80 exist.
+fn small_field_si_records() -> impl Strategy<Value = Vec<Record>> {
+    // Zigzag folds these to deltas 0x3FFE, 0x4000, 0x3FFF and 0x4001.
+    let step = prop_oneof![
+        -64i64..64,
+        Just(8_191),
+        Just(8_192),
+        Just(-8_192),
+        Just(-8_193)
+    ];
+    let id = || prop_oneof![0usize..4, Just(0x7F), Just(0x80)];
+    let cycles = prop_oneof![0u64..64, Just(0x3FFF), Just(0x4000)];
+    let molecule = prop_oneof![
+        Just(MoleculeChoice::Absent),
+        Just(MoleculeChoice::New),
+        prop_oneof![Just(0x7F), Just(0x80), any::<usize>()].prop_map(MoleculeChoice::Repeat),
+    ];
+    (
+        prop_oneof![Just(0usize), Just(3), Just(0x80), Just(0x81)],
+        prop_oneof![Just(0u64), any::<u64>()],
+        proptest::collection::vec(((step, any::<bool>()), id(), id(), cycles, molecule), 1..40),
+    )
+        .prop_map(|(prelude, start, executions)| {
+            let mut table = 0;
+            let mut at = start;
+            let mut records = Vec::new();
+            let mut push = |at: u64, task: usize, si: usize, hw, cycles, molecule| {
+                records.push(Record {
+                    at,
+                    event: Event::SiExecuted {
+                        task: task as u32,
+                        si: SiId(si),
+                        hw,
+                        cycles,
+                        molecule,
+                    },
+                });
+            };
+            for k in 0..prelude {
+                at = at.wrapping_add(1);
+                push(at, 0, 0, true, 1, Some(interned(k)));
+                table += 1;
+            }
+            for ((step, hw), task, si, cycles, choice) in executions {
+                at = at.wrapping_add(step as u64);
+                let molecule = match choice {
+                    MoleculeChoice::Absent => None,
+                    MoleculeChoice::Repeat(r) if table > 0 => Some(interned(r % table)),
+                    MoleculeChoice::Repeat(_) | MoleculeChoice::New => {
+                        table += 1;
+                        Some(interned(table - 1))
+                    }
+                };
+                push(at, task, si, hw, cycles, molecule);
+            }
+            records
+        })
+}
+
 fn encode(records: &[Record]) -> Vec<u8> {
     let mut sink = BinarySink::new(Vec::new());
     for r in records {
@@ -175,5 +256,29 @@ proptest! {
             prop_assert!(got.len() <= records.len());
             prop_assert_eq!(got.as_slice(), &records[..got.len()]);
         }
+    }
+
+    #[test]
+    fn small_field_executions_round_trip_in_any_chunking(
+        records in small_field_si_records(),
+        sizes in proptest::collection::vec(1usize..24, 1..8),
+    ) {
+        let bytes = encode(&records);
+        let mut decoder = StreamDecoder::new();
+        let mut got = Vec::new();
+        let mut rest = bytes.as_slice();
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            decoder.feed(piece);
+            while let Some(record) = decoder.next_record().expect("valid stream") {
+                got.push(record);
+            }
+        }
+        prop_assert_eq!(got.as_slice(), records.as_slice());
+        prop_assert_eq!(decoder.pending_bytes(), 0);
     }
 }

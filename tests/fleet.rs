@@ -8,7 +8,9 @@
 //! * fleet aggregation is invariant under shard permutation (the join
 //!   stage folds in canonical order, so float sums cannot depend on
 //!   thread finish order);
-//! * the fan-out actually uses min(shards, cores) OS threads.
+//! * the fan-out actually uses min(shards, cores) OS threads;
+//! * the binary captures `rispp-obs`'s decoder tests read are what a
+//!   fresh shard run writes.
 
 use proptest::prelude::*;
 use rispp::prelude::*;
@@ -119,6 +121,53 @@ fn binary_shard_capture_decodes_to_the_jsonl_event_sequence() {
         jsonl,
         "binary capture decodes to a different event sequence"
     );
+}
+
+/// The binary captures `rispp-obs`'s decoder unit tests read (crates
+/// below `sim` cannot run a shard themselves). After a deliberate change
+/// to either event stream, re-bless them with
+/// `RISPP_BLESS=1 cargo test -p rispp --test fleet decoder_fixtures`.
+#[test]
+fn decoder_fixtures_equal_fresh_captures() {
+    let fixtures = [
+        (
+            "live_codec.bin",
+            Scenario::LiveCodec {
+                width: 32,
+                height: 32,
+                frames: 1,
+                containers: 4,
+            },
+            7,
+        ),
+        (
+            "stress.bin",
+            Scenario::Stress {
+                platforms: 2,
+                steps: 60,
+            },
+            2_026,
+        ),
+    ];
+    for (name, scenario, seed) in fixtures {
+        let capture = ShardSpec::new(scenario, seed)
+            .with_sink(SinkSpec::Binary)
+            .run()
+            .binary
+            .expect("binary captured");
+        let path = format!("{}/../obs/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("RISPP_BLESS").is_some() {
+            std::fs::write(&path, &capture).expect("bless decoder fixture");
+            continue;
+        }
+        let fixture =
+            std::fs::read(&path).expect("decoder fixture missing — create it with RISPP_BLESS=1");
+        assert!(
+            fixture == capture,
+            "{path} differs from a fresh capture; if the change is intentional, \
+             re-bless with RISPP_BLESS=1"
+        );
+    }
 }
 
 #[test]
