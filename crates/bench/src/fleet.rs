@@ -153,15 +153,11 @@ impl FleetBenchResult {
             out.push_str(&format!("    \"fc_hit_rate\": {},\n", json_f64(rate)));
         }
         out.push_str(&format!(
-            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {},\n    \"dropped_events\": {},\n",
+            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {},\n    \"dropped_events\": {}\n",
             m.executions_total,
             json_f64(m.hw_fraction),
             m.cycles_saved_vs_sw,
             m.dropped_events
-        ));
-        out.push_str(&format!(
-            "    \"selection_cache_hits\": {},\n    \"selection_cache_misses\": {},\n    \"selection_cache_invalidations\": {}\n",
-            m.selection_cache_hits, m.selection_cache_misses, m.selection_cache_invalidations
         ));
         out.push_str("  },\n");
         out.push_str("  \"per_shard\": [\n");
@@ -234,7 +230,7 @@ impl FleetBenchResult {
             forecast_windows: u64_field(m, "forecast_windows")?,
             forecast_precision: f64_field(m, "forecast_precision")?,
             forecast_recall: f64_field(m, "forecast_recall")?,
-            // Absent in FC-less runs and pre-cache documents alike.
+            // Absent in FC-less runs and older documents alike.
             fc_hit_rate: m.get("fc_hit_rate").and_then(JsonValue::as_f64),
             executions_total: u64_field(m, "executions_total")?,
             hw_fraction: f64_field(m, "hw_fraction")?,
@@ -242,18 +238,6 @@ impl FleetBenchResult {
             // Absent in pre-PR-7 documents; read tolerantly.
             dropped_events: m
                 .get("dropped_events")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            selection_cache_hits: m
-                .get("selection_cache_hits")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            selection_cache_misses: m
-                .get("selection_cache_misses")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            selection_cache_invalidations: m
-                .get("selection_cache_invalidations")
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0),
         };

@@ -387,15 +387,11 @@ impl WorkloadResult {
             out.push_str(&format!("    \"fc_hit_rate\": {},\n", json_f64(rate)));
         }
         out.push_str(&format!(
-            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {},\n    \"dropped_events\": {},\n",
+            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {},\n    \"dropped_events\": {}\n",
             m.executions_total,
             json_f64(m.hw_fraction),
             m.cycles_saved_vs_sw,
             m.dropped_events
-        ));
-        out.push_str(&format!(
-            "    \"selection_cache_hits\": {},\n    \"selection_cache_misses\": {},\n    \"selection_cache_invalidations\": {}\n",
-            m.selection_cache_hits, m.selection_cache_misses, m.selection_cache_invalidations
         ));
         out.push_str("  },\n");
         out.push_str("  \"phases\": [\n");
@@ -485,7 +481,7 @@ impl WorkloadResult {
                 .unwrap_or(0),
             forecast_precision: f64_field(m, "forecast_precision")?,
             forecast_recall: f64_field(m, "forecast_recall")?,
-            // Absent in pre-cache baselines and FC-less runs alike; both
+            // Absent in older baselines and FC-less runs alike; both
             // read back as None.
             fc_hit_rate: m.get("fc_hit_rate").and_then(JsonValue::as_f64),
             executions_total: m
@@ -499,18 +495,6 @@ impl WorkloadResult {
                 .unwrap_or(0),
             dropped_events: m
                 .get("dropped_events")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            selection_cache_hits: m
-                .get("selection_cache_hits")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            selection_cache_misses: m
-                .get("selection_cache_misses")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            selection_cache_invalidations: m
-                .get("selection_cache_invalidations")
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0),
         };

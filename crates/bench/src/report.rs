@@ -290,13 +290,6 @@ pub fn render_markdown(analysis: &Analysis, config: &ReportConfig) -> String {
         "| events dropped by capture | {} |",
         summary.dropped_events
     );
-    let _ = writeln!(
-        out,
-        "| selection cache (hit / miss / flush) | {} / {} / {} |",
-        summary.selection_cache_hits,
-        summary.selection_cache_misses,
-        summary.selection_cache_invalidations
-    );
     let _ = writeln!(out);
 
     let _ = writeln!(out, "## Time-to-hardware spans");

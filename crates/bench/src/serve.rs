@@ -396,9 +396,6 @@ pub fn known_metrics() -> &'static [&'static str] {
         "sw_fallback_rate",
         "cycles_saved_vs_sw",
         "dropped_events",
-        "selection_cache_hits",
-        "selection_cache_misses",
-        "selection_cache_invalidations",
         "records",
         "reopens",
         "window_cycles",
@@ -435,9 +432,6 @@ fn metric_value(
         "sw_fallback_rate" => 1.0 - summary.hw_fraction,
         "cycles_saved_vs_sw" => summary.cycles_saved_vs_sw as f64,
         "dropped_events" => summary.dropped_events as f64,
-        "selection_cache_hits" => summary.selection_cache_hits as f64,
-        "selection_cache_misses" => summary.selection_cache_misses as f64,
-        "selection_cache_invalidations" => summary.selection_cache_invalidations as f64,
         "records" => records as f64,
         "reopens" => reopens as f64,
         "window_cycles" => window.window_cycles as f64,
@@ -1432,14 +1426,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(load_alert_rules(&path).unwrap().statuses().len(), 1);
-        std::fs::write(
-            &path,
-            "[[rule]]\nname = \"a\"\nmetric = \"bogus\"\nop = \"<\"\nthreshold = 0.5\n",
-        )
-        .unwrap();
-        let err = load_alert_rules(&path).unwrap_err().to_string();
-        assert!(err.contains("unknown metric"), "{err}");
-        assert!(err.contains("bogus"), "{err}");
+        // The selection-cache counters went with the cache.
+        for metric in [
+            "bogus",
+            "selection_cache_hits",
+            "selection_cache_misses",
+            "selection_cache_invalidations",
+        ] {
+            std::fs::write(
+                &path,
+                format!(
+                    "[[rule]]\nname = \"a\"\nmetric = \"{metric}\"\nop = \"<\"\nthreshold = 0.5\n"
+                ),
+            )
+            .unwrap();
+            let err = load_alert_rules(&path).unwrap_err().to_string();
+            assert!(err.contains("unknown metric"), "{err}");
+            assert!(err.contains(metric), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -436,19 +436,17 @@ impl Fabric {
     /// every rotation target).
     #[must_use]
     pub fn committed_molecule(&self) -> Molecule {
-        let pending_overwrite: Vec<usize> = self.queue.iter().map(|&(c, _)| c.index()).collect();
-        let mut pairs: Vec<(AtomKind, u32)> = Vec::new();
-        for (i, c) in self.containers.iter().enumerate() {
-            match c.state() {
-                ContainerState::Loaded { kind } if !pending_overwrite.contains(&i) => {
-                    pairs.push((kind, 1));
+        let kept = self
+            .iter_containers()
+            .filter_map(|(id, c)| match c.state() {
+                ContainerState::Loaded { kind } if !self.queue.iter().any(|&(q, _)| q == id) => {
+                    Some(kind)
                 }
-                ContainerState::Loading { kind, .. } => pairs.push((kind, 1)),
-                _ => {}
-            }
-        }
-        pairs.extend(self.queue.iter().map(|&(_, k)| (k, 1)));
-        Molecule::from_pairs(self.atoms.len(), pairs)
+                ContainerState::Loading { kind, .. } => Some(kind),
+                _ => None,
+            });
+        let queued = self.queue.iter().map(|&(_, kind)| kind);
+        Molecule::from_pairs(self.atoms.len(), kept.chain(queued).map(|kind| (kind, 1)))
     }
 
     /// Returns `true` when neither a rotation is in flight nor queued.

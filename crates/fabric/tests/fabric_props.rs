@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use rispp_core::atom::{AtomKind, AtomSet};
+use rispp_core::molecule::Molecule;
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
 use rispp_fabric::container::{ContainerId, ContainerState};
 use rispp_fabric::fabric::{Fabric, FabricError, FabricEvent};
@@ -217,6 +218,55 @@ proptest! {
             revision = fabric.loaded_revision();
             loaded = now_loaded;
             before = after;
+        }
+    }
+
+    /// Under seeded fault plans, `committed_molecule` equals the plain
+    /// two-list formula: every loaded Atom whose container is not queued
+    /// for overwrite, every Atom being loaded, and every queued target.
+    #[test]
+    fn committed_molecule_matches_the_two_list_formula(
+        containers in 1usize..5,
+        seed in any::<u64>(),
+        actions in proptest::collection::vec(action(4), 1..60),
+    ) {
+        let plan = FaultPlan::seeded(seed, containers, 1_000_000);
+        let mut fabric = make_fabric(containers).with_faults(plan);
+        let oracle = |f: &Fabric| -> Molecule {
+            let queue = f.pending_rotations();
+            let overwritten: Vec<usize> = queue.iter().map(|&(c, _)| c.index()).collect();
+            let mut pairs: Vec<(AtomKind, u32)> = Vec::new();
+            for (id, c) in f.iter_containers() {
+                match c.state() {
+                    ContainerState::Loaded { kind } if !overwritten.contains(&id.index()) => {
+                        pairs.push((kind, 1));
+                    }
+                    ContainerState::Loading { kind, .. } => pairs.push((kind, 1)),
+                    _ => {}
+                }
+            }
+            pairs.extend(queue.iter().map(|&(_, k)| (k, 1)));
+            Molecule::from_pairs(KINDS, pairs)
+        };
+        for a in actions {
+            match a {
+                Action::Request { container, kind } => {
+                    if container < containers {
+                        let _ = fabric.request_rotation(
+                            ContainerId(container),
+                            AtomKind(kind),
+                        );
+                    }
+                }
+                Action::Advance { delta } => {
+                    let t = fabric.now() + delta;
+                    fabric.advance_to(t).unwrap();
+                }
+                Action::Cancel { container } => {
+                    let _ = fabric.cancel_pending(ContainerId(container));
+                }
+            }
+            prop_assert_eq!(fabric.committed_molecule(), oracle(&fabric));
         }
     }
 }

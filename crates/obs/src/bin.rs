@@ -175,11 +175,12 @@ mod tag {
     pub const UPGRADE_STEP: u8 = 12;
 }
 
-/// High bit of the reselect trigger byte: set when the decision was
-/// served from the selection cache. Trigger codes stay below 0x80, so
-/// schema version 1 streams written before the cache existed decode
-/// unchanged (bit clear ⇒ `cache_hit = false`).
-const TRIGGER_CACHE_HIT: u8 = 0x80;
+/// High bit of the reselect trigger byte: the retired selection-cache
+/// marker. Streams written while the manager had a selection cache set
+/// it on cached decisions; the encoder no longer does, and the decoder
+/// masks it, so those schema version 1 streams still decode. Trigger
+/// codes stay below 0x80.
+const TRIGGER_RETIRED_CACHE_HIT: u8 = 0x80;
 
 fn trigger_code(t: ReselectTrigger) -> u8 {
     match t {
@@ -421,12 +422,10 @@ fn encode_record(
         Event::Reselect {
             trigger,
             duration_ns,
-            cache_hit,
         } => {
             c.push(tag::RESELECT);
             c.varint(delta);
-            let hit = if *cache_hit { TRIGGER_CACHE_HIT } else { 0 };
-            c.push(trigger_code(*trigger) | hit);
+            c.push(trigger_code(*trigger));
             c.varint(*duration_ns);
         }
         Event::UpgradeStep {
@@ -825,12 +824,11 @@ fn decode_body(
         }
         tag::RESELECT => {
             let code = b.u8("trigger")?;
-            let trigger = trigger_from(code & !TRIGGER_CACHE_HIT)
+            let trigger = trigger_from(code & !TRIGGER_RETIRED_CACHE_HIT)
                 .ok_or_else(|| err(offset, format!("unknown reselect trigger {code}")))?;
             Event::Reselect {
                 trigger,
                 duration_ns: b.varint("duration_ns")?,
-                cache_hit: code & TRIGGER_CACHE_HIT != 0,
             }
         }
         tag::UPGRADE_STEP => {
@@ -1230,7 +1228,6 @@ mod tests {
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Forecast,
                     duration_ns: 12_345,
-                    cache_hit: false,
                 },
             },
             Record {
@@ -1354,7 +1351,6 @@ mod tests {
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Fault,
                     duration_ns: 777,
-                    cache_hit: true,
                 },
             },
         ]
@@ -1511,6 +1507,34 @@ mod tests {
         bytes.extend_from_slice(&[4, tag::PORT_STALLED, 0, 9, 9]);
         let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
         assert!(e.message.contains("trailing bytes"), "{e}");
+    }
+
+    #[test]
+    fn the_retired_cache_marker_decodes_and_re_encodes_unmarked() {
+        let stream = |trigger: u8| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            put_varint(&mut bytes, BIN_SCHEMA_VERSION);
+            bytes.extend_from_slice(&[4, tag::RESELECT, 0, trigger, 42]);
+            bytes
+        };
+        let code = trigger_code(ReselectTrigger::Retract);
+        let (plain, marked) = (stream(code), stream(code | TRIGGER_RETIRED_CACHE_HIT));
+        let decode = |bytes: &[u8]| {
+            let mut sink = TimelineSink::new();
+            replay(bytes, &mut sink).unwrap();
+            sink.timeline().entries().to_vec()
+        };
+        let expected = vec![Record {
+            at: 0,
+            event: Event::Reselect {
+                trigger: ReselectTrigger::Retract,
+                duration_ns: 42,
+            },
+        }];
+        assert_eq!(decode(&plain), expected);
+        assert_eq!(decode(&marked), expected);
+        assert_eq!(encode_all(&decode(&marked)), plain);
     }
 
     #[test]

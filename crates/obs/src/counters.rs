@@ -207,8 +207,6 @@ pub struct CountersSink {
     containers_evicted: u64,
     reselects: u64,
     reselect_ns: u64,
-    selection_cache_hits: u64,
-    selection_cache_misses: u64,
     upgrade_steps: u64,
 }
 
@@ -288,18 +286,6 @@ impl CountersSink {
         self.reselect_ns
     }
 
-    /// Re-selections served from the selection cache.
-    #[must_use]
-    pub fn selection_cache_hits(&self) -> u64 {
-        self.selection_cache_hits
-    }
-
-    /// Re-selections that ran the selection kernel.
-    #[must_use]
-    pub fn selection_cache_misses(&self) -> u64 {
-        self.selection_cache_misses
-    }
-
     /// Upgrade-path stages the scheduler staged.
     #[must_use]
     pub fn upgrade_steps(&self) -> u64 {
@@ -336,8 +322,6 @@ impl CountersSink {
         self.containers_evicted += other.containers_evicted;
         self.reselects += other.reselects;
         self.reselect_ns = self.reselect_ns.saturating_add(other.reselect_ns);
-        self.selection_cache_hits += other.selection_cache_hits;
-        self.selection_cache_misses += other.selection_cache_misses;
         self.upgrade_steps += other.upgrade_steps;
     }
 }
@@ -377,18 +361,9 @@ impl EventSink for CountersSink {
                     c.misses += 1;
                 }
             }
-            Event::Reselect {
-                duration_ns,
-                cache_hit,
-                ..
-            } => {
+            Event::Reselect { duration_ns, .. } => {
                 self.reselects += 1;
                 self.reselect_ns += duration_ns;
-                if *cache_hit {
-                    self.selection_cache_hits += 1;
-                } else {
-                    self.selection_cache_misses += 1;
-                }
             }
             Event::UpgradeStep { .. } => self.upgrade_steps += 1,
         }
@@ -470,7 +445,6 @@ mod tests {
             &Event::Reselect {
                 trigger: ReselectTrigger::Retract,
                 duration_ns: 250,
-                cache_hit: true,
             },
         );
         sink.emit(
@@ -523,8 +497,6 @@ mod tests {
         assert_eq!(sink.containers_evicted(), 1);
         assert_eq!(sink.reselects(), 1);
         assert_eq!(sink.reselect_ns(), 250);
-        assert_eq!(sink.selection_cache_hits(), 1);
-        assert_eq!(sink.selection_cache_misses(), 0);
         assert_eq!(sink.upgrade_steps(), 1);
         assert_eq!(sink.rotations_failed(), 1);
         assert_eq!(sink.port_stalls(), 1);
@@ -680,7 +652,6 @@ mod tests {
             Event::Reselect {
                 trigger: ReselectTrigger::Retract,
                 duration_ns: 125,
-                cache_hit: false,
             },
             Event::ForecastRetracted {
                 task: 0,

@@ -155,12 +155,6 @@ pub enum Event {
         /// Wall-clock duration of the selection + scheduling pass, in
         /// nanoseconds (host time, not simulated cycles).
         duration_ns: u64,
-        /// Whether the decision was served from the selection cache
-        /// (revision fingerprint or memo tier) instead of running the
-        /// selection kernel. Cached decisions are bit-identical to a
-        /// from-scratch recompute; this marker only records that the work
-        /// was skipped.
-        cache_hit: bool,
     },
     /// The rotation scheduler staged one step of an SI's upgrade path
     /// ("Rotation in Advance": smallest fitting Molecule first).
@@ -237,11 +231,7 @@ impl fmt::Display for Record {
             Event::Reselect {
                 trigger,
                 duration_ns,
-                cache_hit,
-            } => {
-                let cached = if *cache_hit { ", cached" } else { "" };
-                write!(f, "{at:>12}  reselect ({trigger}, {duration_ns}ns{cached})")
-            }
+            } => write!(f, "{at:>12}  reselect ({trigger}, {duration_ns}ns)"),
             Event::UpgradeStep {
                 si,
                 task,

@@ -197,17 +197,11 @@ fn encode_into(out: &mut String, at: u64, event: &Event) {
         Event::Reselect {
             trigger,
             duration_ns,
-            cache_hit,
         } => {
             let _ = write!(
                 out,
                 "\"reselect\",\"trigger\":\"{trigger}\",\"duration_ns\":{duration_ns}"
             );
-            // Omitted when false: pre-cache exports stay byte-identical
-            // and replay with `cache_hit = false`.
-            if *cache_hit {
-                let _ = write!(out, ",\"cache_hit\":true");
-            }
         }
         Event::UpgradeStep {
             si,
@@ -534,8 +528,8 @@ fn decode_at_line(line: &str, number: usize) -> Result<Record, JsonlError> {
             si: SiId(fields.usize("si")?),
             reached: fields.bool("reached")?,
         },
-        "reselect" => Event::Reselect {
-            trigger: match fields.str("trigger")? {
+        "reselect" => {
+            let trigger = match fields.str("trigger")? {
                 "forecast" => ReselectTrigger::Forecast,
                 "forecast_block" => ReselectTrigger::ForecastBlock,
                 "retract" => ReselectTrigger::Retract,
@@ -543,10 +537,18 @@ fn decode_at_line(line: &str, number: usize) -> Result<Record, JsonlError> {
                 "power_mode" => ReselectTrigger::PowerMode,
                 "fault" => ReselectTrigger::Fault,
                 other => return Err(err(number, format!("unknown reselect trigger {other:?}"))),
-            },
-            duration_ns: fields.u64("duration_ns")?,
-            cache_hit: fields.has("cache_hit") && fields.bool("cache_hit")?,
-        },
+            };
+            let duration_ns = fields.u64("duration_ns")?;
+            // The retired selection-cache marker: exports written while
+            // the manager had a cache carry it; it is checked, then dropped.
+            if fields.has("cache_hit") {
+                fields.bool("cache_hit")?;
+            }
+            Event::Reselect {
+                trigger,
+                duration_ns,
+            }
+        }
         "upgrade_step" => Event::UpgradeStep {
             si: SiId(fields.usize("si")?),
             task: if fields.has("task") {
@@ -699,7 +701,6 @@ mod tests {
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Forecast,
                     duration_ns: 12_345,
-                    cache_hit: false,
                 },
             },
             Record {
@@ -803,7 +804,6 @@ mod tests {
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Fault,
                     duration_ns: 777,
-                    cache_hit: true,
                 },
             },
         ]
@@ -933,6 +933,20 @@ mod tests {
                 other => panic!("wrong event {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_retired_cache_marker_is_checked_then_dropped() {
+        let plain = "{\"at\":5,\"ev\":\"reselect\",\"trigger\":\"retract\",\"duration_ns\":42}";
+        let marked = plain.replace('}', ",\"cache_hit\":true}");
+        let record = decode(plain).unwrap();
+        assert_eq!(decode(&marked).unwrap(), record);
+        assert_eq!(encode(record.at, &record.event), plain);
+
+        let bad = plain.replace('}', ",\"cache_hit\":3}");
+        let e = replay(&format!("{plain}\n{bad}"), &mut TimelineSink::new()).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("cache_hit"), "{e}");
     }
 
     #[test]

@@ -108,15 +108,6 @@ pub struct MetricsSummary {
     /// and [`MetricsSink::note_dropped_events`]). Nonzero means any
     /// captured timeline is a truncated tail, not the complete run.
     pub dropped_events: u64,
-    /// Re-selections served from the manager's selection cache.
-    pub selection_cache_hits: u64,
-    /// Re-selections that ran the selection kernel.
-    pub selection_cache_misses: u64,
-    /// Selection-cache flushes (rotation completions, faults, power-mode
-    /// switches). Fed in via
-    /// [`MetricsSink::note_selection_cache_invalidations`], not the event
-    /// stream — invalidation is internal manager state, not an event.
-    pub selection_cache_invalidations: u64,
 }
 
 impl MetricsSummary {
@@ -203,9 +194,6 @@ impl MetricsSummary {
             .cycles_saved_vs_sw
             .saturating_add(other.cycles_saved_vs_sw);
         self.dropped_events += other.dropped_events;
-        self.selection_cache_hits += other.selection_cache_hits;
-        self.selection_cache_misses += other.selection_cache_misses;
-        self.selection_cache_invalidations += other.selection_cache_invalidations;
     }
 
     /// [`MetricsSummary::merge`], by value — convenient in folds.
@@ -288,24 +276,6 @@ impl MetricsSummary {
                 "counter",
                 "Events dropped by a bounded timeline capture (nonzero = truncated capture).",
                 self.dropped_events as f64,
-            ),
-            (
-                "rispp_selection_cache_hits_total",
-                "counter",
-                "Re-selections served from the selection cache.",
-                self.selection_cache_hits as f64,
-            ),
-            (
-                "rispp_selection_cache_misses_total",
-                "counter",
-                "Re-selections that ran the selection kernel.",
-                self.selection_cache_misses as f64,
-            ),
-            (
-                "rispp_selection_cache_invalidations_total",
-                "counter",
-                "Selection-cache flushes from rotation, fault or mode changes.",
-                self.selection_cache_invalidations as f64,
             ),
         ];
         // Absent (not zero) when the run monitored no FC outcomes.
@@ -391,12 +361,6 @@ pub struct MetricsSink {
     /// in via [`MetricsSink::note_dropped_events`], not the event
     /// stream (the sink itself never drops).
     dropped_events: u64,
-    selection_cache_hits: u64,
-    selection_cache_misses: u64,
-    /// Cache flushes, fed in via
-    /// [`MetricsSink::note_selection_cache_invalidations`] — the manager
-    /// does not emit an event per flush.
-    selection_cache_invalidations: u64,
 }
 
 impl MetricsSink {
@@ -626,9 +590,6 @@ impl MetricsSink {
             hw_fraction: ratio(self.hw_executions, self.executions_total),
             cycles_saved_vs_sw: self.cycles_saved,
             dropped_events: self.dropped_events,
-            selection_cache_hits: self.selection_cache_hits,
-            selection_cache_misses: self.selection_cache_misses,
-            selection_cache_invalidations: self.selection_cache_invalidations,
         }
     }
 
@@ -647,24 +608,11 @@ impl MetricsSink {
         self.dropped_events
     }
 
-    /// Registers selection-cache flushes observed by the manager, so the
-    /// summary and the Prometheus exposition carry them next to the
-    /// hit/miss counts derived from [`Event::Reselect`]. Additive across
-    /// calls, mirroring [`MetricsSink::note_dropped_events`].
-    pub fn note_selection_cache_invalidations(&mut self, n: u64) {
-        self.selection_cache_invalidations += n;
-    }
-
-    /// `(hits, misses, invalidations)` of the selection cache as seen in
-    /// the event stream (plus registered flushes).
-    #[must_use]
-    pub fn selection_cache_stats(&self) -> (u64, u64, u64) {
-        (
-            self.selection_cache_hits,
-            self.selection_cache_misses,
-            self.selection_cache_invalidations,
-        )
-    }
+    /// Does nothing: the selection cache whose flushes this registered
+    /// is gone. Kept only because the benchmark's traced mirror of
+    /// `ShardSpec::run` still calls it; ROADMAP item 1(a) moves that
+    /// mirror onto `ShardSpec` and removes this last caller.
+    pub fn note_selection_cache_invalidations(&mut self, _n: u64) {}
 
     /// Prometheus-style text exposition of every gauge and counter.
     #[must_use]
@@ -742,21 +690,6 @@ impl MetricsSink {
             "rispp_timeline_dropped_events_total",
             "Events dropped by a bounded timeline capture (nonzero = truncated capture).",
             self.dropped_events,
-        );
-        counter(
-            "rispp_selection_cache_hits_total",
-            "Re-selections served from the selection cache.",
-            self.selection_cache_hits,
-        );
-        counter(
-            "rispp_selection_cache_misses_total",
-            "Re-selections that ran the selection kernel.",
-            self.selection_cache_misses,
-        );
-        counter(
-            "rispp_selection_cache_invalidations_total",
-            "Selection-cache flushes from rotation, fault or mode changes.",
-            self.selection_cache_invalidations,
         );
         let _ = writeln!(
             out,
@@ -887,13 +820,6 @@ impl EventSink for MetricsSink {
                 self.fc_outcomes += 1;
                 if *reached {
                     self.fc_outcomes_reached += 1;
-                }
-            }
-            Event::Reselect { cache_hit, .. } => {
-                if *cache_hit {
-                    self.selection_cache_hits += 1;
-                } else {
-                    self.selection_cache_misses += 1;
                 }
             }
             _ => {}
@@ -1088,37 +1014,6 @@ mod tests {
         };
         a.merge(&MetricsSummary::default());
         assert_eq!(a.fc_hit_rate, Some(0.5));
-    }
-
-    #[test]
-    fn selection_cache_stats_flow_through() {
-        use crate::event::ReselectTrigger;
-        let mut m = MetricsSink::new();
-        for cache_hit in [true, false, true] {
-            m.emit(
-                0,
-                &Event::Reselect {
-                    trigger: ReselectTrigger::Forecast,
-                    duration_ns: 5,
-                    cache_hit,
-                },
-            );
-        }
-        m.note_selection_cache_invalidations(2);
-        assert_eq!(m.selection_cache_stats(), (2, 1, 2));
-        let s = m.summary();
-        assert_eq!(s.selection_cache_hits, 2);
-        assert_eq!(s.selection_cache_misses, 1);
-        assert_eq!(s.selection_cache_invalidations, 2);
-        let text = m.render_prometheus();
-        assert!(text.contains("rispp_selection_cache_hits_total 2"));
-        assert!(text.contains("rispp_selection_cache_misses_total 1"));
-        assert!(text.contains("rispp_selection_cache_invalidations_total 2"));
-        // Fleet merges add the cache counters shard-wise.
-        let mut merged = s;
-        merged.merge(&s);
-        assert_eq!(merged.selection_cache_hits, 4);
-        assert_eq!(merged.selection_cache_invalidations, 4);
     }
 
     #[test]

@@ -307,7 +307,6 @@ mod tests {
                 Event::Reselect {
                     trigger: crate::event::ReselectTrigger::Forecast,
                     duration_ns: 100,
-                    cache_hit: false,
                 },
             ),
             (

@@ -30,12 +30,6 @@ pub struct ForecastStore {
     /// Smoothing factor λ ∈ [0, 1] for online forecast fine-tuning
     /// (weight of each new observation).
     lambda: f64,
-    /// Bumped on every *observable* change of the demand set — an insert
-    /// that actually changes a value, a retract that actually removes one,
-    /// an observation that moves a forecast. Two equal revisions of one
-    /// store guarantee equal demand contents, which is what lets the
-    /// selection stage skip re-weighing entirely when nothing changed.
-    revision: u64,
 }
 
 impl ForecastStore {
@@ -50,19 +44,7 @@ impl ForecastStore {
         ForecastStore {
             demands: BTreeMap::new(),
             lambda,
-            revision: 0,
         }
-    }
-
-    /// Monotonic change counter: equal revisions imply equal demand
-    /// contents (the converse does not hold — a retracted-then-restored
-    /// demand bumps the revision twice). No-op mutations (retracting an
-    /// absent demand, re-inserting an identical forecast, observing an
-    /// untracked pair) leave the revision untouched, which is exactly the
-    /// delta that "provably cannot change the winner".
-    #[must_use]
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// The smoothing factor λ.
@@ -85,21 +67,13 @@ impl ForecastStore {
 
     /// Stores (or replaces) `task`'s forecast for `value.si`.
     pub fn insert(&mut self, task: TaskId, value: ForecastValue) {
-        let key = (task, value.si.index());
-        if self.demands.get(&key) != Some(&value) {
-            self.revision = self.revision.wrapping_add(1);
-        }
-        self.demands.insert(key, value);
+        self.demands.insert((task, value.si.index()), value);
     }
 
     /// Drops `task`'s forecast for `si` (a negative FC). Returns the
     /// retracted value, `None` when no such demand was active.
     pub fn retract(&mut self, task: TaskId, si: SiId) -> Option<ForecastValue> {
-        let removed = self.demands.remove(&(task, si.index()));
-        if removed.is_some() {
-            self.revision = self.revision.wrapping_add(1);
-        }
-        removed
+        self.demands.remove(&(task, si.index()))
     }
 
     /// Fine-tunes `task`'s stored forecast for `si` with one observed
@@ -116,11 +90,7 @@ impl ForecastStore {
     ) {
         let lambda = self.lambda;
         if let Some(fv) = self.demands.get_mut(&(task, si.index())) {
-            let before = fv.clone();
             fv.observe(lambda, reached, observed_distance, observed_executions);
-            if *fv != before {
-                self.revision = self.revision.wrapping_add(1);
-            }
         }
     }
 
@@ -191,29 +161,5 @@ mod tests {
     #[should_panic(expected = "lambda")]
     fn lambda_out_of_range_rejected() {
         let _ = ForecastStore::new(1.5);
-    }
-
-    #[test]
-    fn revision_tracks_only_real_changes() {
-        let mut store = ForecastStore::new(0.25);
-        assert_eq!(store.revision(), 0);
-        store.insert(0, fv(1, 10.0));
-        let r1 = store.revision();
-        assert_ne!(r1, 0);
-        // Re-inserting the identical forecast is a no-op.
-        store.insert(0, fv(1, 10.0));
-        assert_eq!(store.revision(), r1);
-        // Retracting an absent pair is a no-op.
-        assert!(store.retract(3, SiId(1)).is_none());
-        assert_eq!(store.revision(), r1);
-        // Observing an untracked pair is a no-op.
-        store.observe(9, SiId(1), true, 1.0, 1.0);
-        assert_eq!(store.revision(), r1);
-        // A real observation and a real retract both bump.
-        store.observe(0, SiId(1), false, 0.0, 0.0);
-        let r2 = store.revision();
-        assert_ne!(r2, r1);
-        assert!(store.retract(0, SiId(1)).is_some());
-        assert_ne!(store.revision(), r2);
     }
 }

@@ -35,7 +35,7 @@ use crate::dispatch::DispatchTable;
 use crate::forecast::ForecastStore;
 use crate::policy::{LruSurplusPolicy, ReplacementPolicy};
 use crate::rotation::{BackoffGovernor, RotationPlan, RotationSchedulePolicy};
-use crate::selection::{CacheInvalidation, CacheLookup, SelectionPolicy, SelectionStage};
+use crate::selection::{SelectionPolicy, SelectionStage};
 use crate::stats::StatsLedger;
 
 pub use crate::rotation::{RetryPolicy, RotationStrategy};
@@ -169,20 +169,14 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 match *event {
                     FabricEvent::RotationFailed { kind, at, .. } => {
                         self.backoff.note_failure(kind, at, self.fabric.clock());
-                        self.selector.invalidate(CacheInvalidation::Fault);
                         need_reselect = true;
                     }
                     FabricEvent::RotationCompleted { kind, .. } => {
                         // A success wipes the kind's failure history.
                         self.backoff.note_success(kind);
-                        self.selector
-                            .invalidate(CacheInvalidation::RotationCompleted);
                     }
                     FabricEvent::ContainerQuarantined { .. }
-                    | FabricEvent::ContainerFaulted { .. } => {
-                        self.selector.invalidate(CacheInvalidation::Fault);
-                        need_reselect = true;
-                    }
+                    | FabricEvent::ContainerFaulted { .. } => need_reselect = true,
                     _ => {}
                 }
             }
@@ -334,8 +328,9 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
         Ok(record)
     }
 
-    /// Recomputes the Molecule selection from all active demands and
-    /// re-schedules rotations towards the new target.
+    /// Recomputes the Molecule selection from all active demands and,
+    /// when the fabric does not already hold the new target, re-schedules
+    /// rotations towards it.
     fn reselect(&mut self, trigger: ReselectTrigger) {
         // The profiler owns the host clock: the scope both feeds the
         // phase histogram and yields the duration for the Reselect event.
@@ -350,34 +345,15 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
         // under the full container count would chase an unreachable
         // target forever.
         let capacity = self.fabric.usable_containers() as u32;
-        let lookup = self.selector.reselect_cached(
-            &self.lib,
-            self.fabric.catalog(),
-            &self.forecasts,
-            capacity,
-        );
-        let cache_hit = matches!(lookup, CacheLookup::Hit(_));
-        let plan = match lookup {
-            CacheLookup::Hit(plan) => plan,
-            CacheLookup::Miss => {
-                // Only a fresh decision pays for rotation scheduling; a
-                // cached one re-applies its memoised plan below.
-                let _sched = self.prof.scope(phase::ROTATION_SCHEDULE);
-                let plan = self.scheduler.plan(
-                    &self.lib,
-                    self.selector.selection(),
-                    self.selector.last_weights(),
-                );
-                self.selector.store_plan(plan)
-            }
-        };
-        // Applying the plan is provably a no-op when no rotation is queued
+        self.selector
+            .reselect(&self.lib, self.fabric.catalog(), &self.forecasts, capacity);
+        // Applying a plan is a no-op when no rotation is queued
         // (cancelling would refund nothing) and the committed fabric
         // already covers the target: every upgrade stage ≤ its SI's wanted
         // Molecule ≤ the target, so no stage has missing Atoms and no
-        // Rotate or UpgradeStep would be issued. Skipping keeps rotation
-        // sequence numbers — and therefore fault-plan CRC outcomes —
-        // byte-identical to the from-scratch kernel.
+        // Rotate or UpgradeStep would be issued. Planning is pure, so
+        // skipping it too changes no decision; most re-selections leave
+        // the fabric where it is and never plan.
         let satisfied = self.fabric.pending_rotation_count() == 0
             && self
                 .selector
@@ -385,6 +361,14 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 .target
                 .le(&self.fabric.committed_molecule());
         if !satisfied {
+            let plan = {
+                let _sched = self.prof.scope(phase::ROTATION_SCHEDULE);
+                self.scheduler.plan(
+                    &self.lib,
+                    self.selector.selection(),
+                    self.selector.last_weights(),
+                )
+            };
             self.apply_plan(&plan);
         }
         let measured = scope.stop();
@@ -402,7 +386,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 &Event::Reselect {
                     trigger,
                     duration_ns,
-                    cache_hit,
                 },
             );
         }

@@ -59,7 +59,6 @@ pub struct ManagerBuilder<P = LruSurplusPolicy, S = GreedySelection, R = Rotatio
     prof: ProfHandle,
     retry_policy: RetryPolicy,
     deterministic_timing: bool,
-    selection_cache: bool,
 }
 
 impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<P, S, R> {
@@ -79,7 +78,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             prof: self.prof,
             retry_policy: self.retry_policy,
             deterministic_timing: self.deterministic_timing,
-            selection_cache: self.selection_cache,
         }
     }
 
@@ -99,7 +97,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             prof: self.prof,
             retry_policy: self.retry_policy,
             deterministic_timing: self.deterministic_timing,
-            selection_cache: self.selection_cache,
         }
     }
 
@@ -123,7 +120,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             prof: self.prof,
             retry_policy: self.retry_policy,
             deterministic_timing: self.deterministic_timing,
-            selection_cache: self.selection_cache,
         }
     }
 
@@ -189,19 +185,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
         self
     }
 
-    /// Enables or disables the incremental selection cache (default: on).
-    ///
-    /// Disabled, every re-selection runs the full weighing + selection +
-    /// scheduling kernel from scratch — the oracle configuration the
-    /// cached kernel is validated against (decisions, rotation plans and
-    /// timelines must be identical either way, modulo the `cache_hit`
-    /// marker on `Reselect` events).
-    #[must_use]
-    pub fn selection_cache(mut self, enabled: bool) -> Self {
-        self.selection_cache = enabled;
-        self
-    }
-
     /// Replays bit-exactly: host-measured durations in emitted events
     /// (the `duration_ns` of `Reselect`) are reported as zero, so the
     /// structured event stream depends only on simulated state — the
@@ -237,8 +220,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             fabric,
             policy: self.policy,
             forecasts: ForecastStore::new(self.lambda),
-            selector: SelectionStage::new(self.selection_policy, self.power_mode)
-                .with_cache(self.selection_cache),
+            selector: SelectionStage::new(self.selection_policy, self.power_mode),
             scheduler: self.schedule_policy,
             ledger,
             backoff: BackoffGovernor::new(self.retry_policy),
@@ -267,7 +249,6 @@ impl RisppManager {
             prof: ProfHandle::null(),
             retry_policy: RetryPolicy::default(),
             deterministic_timing: false,
-            selection_cache: true,
         }
     }
 }

@@ -76,12 +76,14 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
         self.selector.reselects()
     }
 
-    /// `(hits, misses, invalidations)` of the incremental selection
-    /// cache. All zeros when the cache is disabled via
-    /// [`ManagerBuilder::selection_cache`](super::ManagerBuilder::selection_cache).
+    /// Always `(0, 0, 0)`: the selection cache whose `(hits, misses,
+    /// invalidations)` this reported is gone. Kept only because the
+    /// benchmark's traced mirror of `ShardSpec::run` still calls it;
+    /// ROADMAP item 1(a) moves that mirror onto `ShardSpec` and removes
+    /// this last caller.
     #[must_use]
     pub fn selection_cache_stats(&self) -> (u64, u64, u64) {
-        self.selector.cache_stats()
+        (0, 0, 0)
     }
 
     /// Total rotations requested so far.

@@ -16,9 +16,6 @@
 //! Nothing in this module touches the fabric or emits events: given the
 //! same inputs, every function returns the same outputs.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 pub use rispp_core::selection::{
     select_molecules, select_molecules_exhaustive, select_molecules_with, MoleculeSelection,
     SelectionContext,
@@ -27,7 +24,6 @@ use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::catalog::AtomCatalog;
 
 use crate::forecast::ForecastStore;
-use crate::rotation::RotationPlan;
 use crate::TaskId;
 
 /// Adaptation goal of the run-time system (the paper's §1 motivation
@@ -238,137 +234,41 @@ pub fn weigh_demands_into(
     );
 }
 
-/// Why the selection memo cache was flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheInvalidation {
-    /// A rotation completed: the committed fabric state moved, so any
-    /// memoised "plan already satisfied" judgement may be stale.
-    RotationCompleted,
-    /// A rotation failed, or a container was quarantined or faulted.
-    Fault,
-    /// The SI library or Atom catalog changed under the stage.
-    SiTableChanged,
-    /// The adaptation goal was switched.
-    PowerMode,
-}
-
-/// Outcome of a cached re-selection ([`SelectionStage::reselect_cached`]).
-#[derive(Debug)]
-pub enum CacheLookup {
-    /// The decision was served from cache: the stage's selection and
-    /// weights already hold the memoised result, and the returned plan is
-    /// the one computed when the entry was first stored. The caller must
-    /// still apply it (unless provably a no-op) so rotation sequence
-    /// numbers stay byte-identical to the from-scratch kernel.
-    Hit(Arc<RotationPlan>),
-    /// A fresh selection was computed; the caller must plan rotations and
-    /// hand the plan back via [`SelectionStage::store_plan`].
-    Miss,
-}
-
-/// A memoised selection decision: everything downstream of weighing.
-#[derive(Debug, Clone)]
-struct CachedDecision {
-    selection: MoleculeSelection,
-    weights: DemandWeights,
-    plan: Arc<RotationPlan>,
-}
-
-/// The selection stage: policy + adaptation goal + the last selection,
-/// plus the incremental kernel's two cache tiers:
+/// The selection stage: policy + adaptation goal + the last selection
+/// and the weights that drove it.
 ///
-/// * a **revision fingerprint** `(forecast revision, capacity, mode
-///   epoch)` — when unchanged since the last reselect, nothing observable
-///   moved and even re-weighing is skipped;
-/// * a **decision memo** keyed by the exact bits of `(capacity, mode
-///   epoch, weighted demands)` — a forecast delta that lands back on a
-///   previously weighed state (retract-then-restore, oscillating FCs)
-///   reuses the full decision including its rotation plan.
-///
-/// Both tiers are *provably* decision-identical: the memo key includes
-/// every input of the selection policy (weights carry owners, the epoch
-/// separates power modes), so a hit replays exactly what the from-scratch
-/// kernel would recompute. Invalidation therefore only ever costs speed,
-/// never correctness.
+/// The stage owns the weigh accumulator, the demand list and the
+/// selection kernel's [`SelectionContext`], and refills them in place on
+/// every re-selection, so the hot path allocates nothing but the
+/// selection it produces.
 #[derive(Debug, Clone)]
 pub struct SelectionStage<S = GreedySelection> {
     policy: S,
     power_mode: PowerMode,
-    /// Bumped on every power-mode switch; part of every cache key so a
-    /// mode change can never alias an entry from the previous goal.
-    mode_epoch: u64,
     selection: MoleculeSelection,
     reselects: u64,
-    cache_enabled: bool,
     ctx: SelectionContext,
-    memo: BTreeMap<Vec<u64>, CachedDecision>,
-    /// Scratch for the memo key of the in-flight reselect; promoted into
-    /// `memo` by [`store_plan`](Self::store_plan) when `pending_key`.
-    key_buf: Vec<u64>,
-    pending_key: bool,
     /// Dense per-SI accumulator reused by every weigh pass.
     weigh_acc: Vec<(f64, TaskId, bool)>,
-    /// Weigh output buffer, swapped into `last_weights` on a miss.
-    weights_scratch: DemandWeights,
     /// `(si, weight)` list handed to the selection policy, reused.
     demand_scratch: Vec<(SiId, f64)>,
     last_weights: DemandWeights,
-    last_plan: Arc<RotationPlan>,
-    last_fingerprint: Option<(u64, u32, u64)>,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_invalidations: u64,
 }
 
-/// Memo entries kept before a wholesale flush. A deterministic clear (not
-/// LRU) so cache *contents* never depend on query order — only hit rates
-/// do.
-const MEMO_CAPACITY: usize = 128;
-
 impl<S: SelectionPolicy> SelectionStage<S> {
-    /// Creates the stage with an empty selection and the cache enabled.
+    /// Creates the stage with an empty selection.
     #[must_use]
     pub fn new(policy: S, power_mode: PowerMode) -> Self {
         SelectionStage {
             policy,
             power_mode,
-            mode_epoch: 0,
             selection: MoleculeSelection::default(),
             reselects: 0,
-            cache_enabled: true,
             ctx: SelectionContext::default(),
-            memo: BTreeMap::new(),
-            key_buf: Vec::new(),
-            pending_key: false,
             weigh_acc: Vec::new(),
-            weights_scratch: DemandWeights::default(),
             demand_scratch: Vec::new(),
             last_weights: DemandWeights::default(),
-            last_plan: Arc::new(RotationPlan::default()),
-            last_fingerprint: None,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_invalidations: 0,
         }
-    }
-
-    /// Enables or disables both cache tiers (builder-style). Disabled, the
-    /// stage is the from-scratch oracle the cached kernel is validated
-    /// against.
-    #[must_use]
-    pub fn with_cache(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.memo.clear();
-            self.last_fingerprint = None;
-        }
-        self
-    }
-
-    /// Whether the cache tiers are active.
-    #[must_use]
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
     }
 
     /// The selection currently in force.
@@ -384,12 +284,9 @@ impl<S: SelectionPolicy> SelectionStage<S> {
     }
 
     /// Switches the adaptation goal. The caller decides whether that
-    /// warrants a re-selection (it does, at run time). Bumps the mode
-    /// epoch and invalidates the cache: weights are mode-dependent.
+    /// warrants a re-selection (it does, at run time).
     pub fn set_power_mode(&mut self, mode: PowerMode) {
         self.power_mode = mode;
-        self.mode_epoch = self.mode_epoch.wrapping_add(1);
-        self.invalidate(CacheInvalidation::PowerMode);
     }
 
     /// Number of selection re-evaluations so far — every FC event invokes
@@ -401,143 +298,40 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         self.reselects
     }
 
-    /// `(hits, misses, invalidations)` of the decision cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> (u64, u64, u64) {
-        (self.cache_hits, self.cache_misses, self.cache_invalidations)
-    }
-
-    /// The weights that drove the last re-selection (cached or fresh).
+    /// The weights that drove the last re-selection (the rotation planner
+    /// orders upgrades by them).
     #[must_use]
     pub fn last_weights(&self) -> &DemandWeights {
         &self.last_weights
     }
 
-    /// Drops every memoised decision and the revision fingerprint.
-    ///
-    /// Called when state *outside* the cache key changes — the committed
-    /// fabric moved, a container died, the SI table was swapped. Counted
-    /// only when something was actually cached: flushing an empty cache
-    /// carries no information.
-    pub fn invalidate(&mut self, _reason: CacheInvalidation) {
-        if !self.cache_enabled || (self.memo.is_empty() && self.last_fingerprint.is_none()) {
-            return;
-        }
-        self.cache_invalidations += 1;
-        self.memo.clear();
-        self.last_fingerprint = None;
-    }
-
     /// Re-evaluates the selection from the active demands under the
-    /// Atom-Container budget `capacity`, and returns the demand weights
-    /// that drove it (the rotation planner orders upgrades by them).
-    ///
-    /// The uncached legacy entry point: always recomputes, never consults
-    /// or populates the memo, and drops the fingerprint so a subsequent
-    /// [`reselect_cached`](Self::reselect_cached) cannot alias stale
-    /// state.
+    /// Atom-Container budget `capacity`: weighs them under the current
+    /// adaptation goal, then runs the selection policy. The result is
+    /// read back through [`selection`](Self::selection) and
+    /// [`last_weights`](Self::last_weights).
     pub fn reselect(
         &mut self,
         lib: &SiLibrary,
         catalog: &AtomCatalog,
         demands: &ForecastStore,
         capacity: u32,
-    ) -> DemandWeights {
+    ) {
         self.reselects += 1;
-        self.pending_key = false;
-        self.last_fingerprint = None;
-        let weights = weigh_demands(lib, catalog, self.power_mode, demands);
-        self.selection =
-            self.policy
-                .select_with(&mut self.ctx, lib, &weights.as_demands(), capacity);
-        self.last_weights = weights.clone();
-        weights
-    }
-
-    /// The incremental re-selection entry point.
-    ///
-    /// Tier 1: when `(demands.revision(), capacity, mode_epoch)` matches
-    /// the previous call, no input of the decision changed — the previous
-    /// selection, weights and plan are reused without touching the
-    /// library. Tier 2: otherwise demands are re-weighed and the exact
-    /// weighted state is looked up in the memo. Only on a miss does the
-    /// selection policy run; the caller then plans rotations and stores
-    /// the plan via [`store_plan`](Self::store_plan), completing the memo
-    /// entry.
-    pub fn reselect_cached(
-        &mut self,
-        lib: &SiLibrary,
-        catalog: &AtomCatalog,
-        demands: &ForecastStore,
-        capacity: u32,
-    ) -> CacheLookup {
-        self.reselects += 1;
-        self.pending_key = false;
-        let fingerprint = (demands.revision(), capacity, self.mode_epoch);
-        if self.cache_enabled && self.last_fingerprint == Some(fingerprint) {
-            self.cache_hits += 1;
-            return CacheLookup::Hit(Arc::clone(&self.last_plan));
-        }
         weigh_demands_into(
             lib,
             catalog,
             self.power_mode,
             demands,
             &mut self.weigh_acc,
-            &mut self.weights_scratch,
+            &mut self.last_weights,
         );
-        if self.cache_enabled {
-            self.key_buf.clear();
-            self.key_buf.push(u64::from(capacity));
-            self.key_buf.push(self.mode_epoch);
-            for (si, w, owner) in self.weights_scratch.iter() {
-                self.key_buf.push(si.index() as u64);
-                self.key_buf.push(w.to_bits());
-                self.key_buf.push(u64::from(owner));
-            }
-            if let Some(cached) = self.memo.get(&self.key_buf) {
-                self.selection.clone_from(&cached.selection);
-                self.last_weights.clone_from(&cached.weights);
-                self.last_plan = Arc::clone(&cached.plan);
-                self.last_fingerprint = Some(fingerprint);
-                self.cache_hits += 1;
-                return CacheLookup::Hit(Arc::clone(&self.last_plan));
-            }
-            self.pending_key = true;
-        }
-        self.cache_misses += 1;
         self.demand_scratch.clear();
         self.demand_scratch
-            .extend(self.weights_scratch.iter().map(|(si, w, _)| (si, w)));
+            .extend(self.last_weights.iter().map(|(si, w, _)| (si, w)));
         self.selection =
             self.policy
                 .select_with(&mut self.ctx, lib, &self.demand_scratch, capacity);
-        std::mem::swap(&mut self.last_weights, &mut self.weights_scratch);
-        self.last_fingerprint = Some(fingerprint);
-        CacheLookup::Miss
-    }
-
-    /// Completes a [`CacheLookup::Miss`]: records `plan` as the plan of
-    /// the current decision and memoises the whole decision under the key
-    /// built by [`reselect_cached`](Self::reselect_cached).
-    pub fn store_plan(&mut self, plan: RotationPlan) -> Arc<RotationPlan> {
-        let plan = Arc::new(plan);
-        self.last_plan = Arc::clone(&plan);
-        if self.cache_enabled && self.pending_key {
-            self.pending_key = false;
-            if self.memo.len() >= MEMO_CAPACITY {
-                self.memo.clear();
-            }
-            self.memo.insert(
-                self.key_buf.clone(),
-                CachedDecision {
-                    selection: self.selection.clone(),
-                    weights: self.last_weights.clone(),
-                    plan: Arc::clone(&plan),
-                },
-            );
-        }
-        plan
     }
 }
 
@@ -623,8 +417,9 @@ mod tests {
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 100.0));
         store.insert(1, fv(s1, 1.0));
-        let w = stage.reselect(&lib, &catalog, &store, 3);
+        stage.reselect(&lib, &catalog, &store, 3);
         assert_eq!(stage.reselects(), 1);
+        let w = stage.last_weights();
         assert!(w.weight_of(s0) > w.weight_of(s1));
         // S0 dominates: the target covers its fast Molecule.
         assert!(Molecule::from_counts([2, 1]).le(&stage.selection().target));
@@ -643,98 +438,24 @@ mod tests {
     }
 
     #[test]
-    fn cache_tiers_hit_and_stay_decision_identical() {
-        let (lib, catalog, s0, s1) = platform();
-        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default());
-        let mut store = ForecastStore::new(0.25);
-        store.insert(0, fv(s0, 100.0));
-        store.insert(1, fv(s1, 1.0));
-
-        // First reselect: miss; complete it with a plan.
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
-        let fresh = stage.selection().clone();
-        stage.store_plan(RotationPlan::default());
-
-        // Unchanged store ⇒ tier-1 (fingerprint) hit.
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Hit(_)
-        ));
-        assert_eq!(stage.selection(), &fresh);
-
-        // Retract-then-restore bumps the revision twice but lands on an
-        // already-weighed state ⇒ tier-2 (memo) hit.
-        store.retract(1, s1);
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
-        stage.store_plan(RotationPlan::default());
-        store.insert(1, fv(s1, 1.0));
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Hit(_)
-        ));
-        assert_eq!(stage.selection(), &fresh);
-
-        let (hits, misses, _) = stage.cache_stats();
-        assert_eq!((hits, misses), (2, 2));
-
-        // Invalidation forces a recompute of the same decision.
-        stage.invalidate(CacheInvalidation::RotationCompleted);
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
-        assert_eq!(stage.selection(), &fresh);
-        assert_eq!(stage.cache_stats().2, 1);
-    }
-
-    #[test]
-    fn disabled_cache_always_misses() {
-        let (lib, catalog, s0, _) = platform();
-        let mut stage =
-            SelectionStage::new(GreedySelection, PowerMode::default()).with_cache(false);
-        let mut store = ForecastStore::new(0.25);
-        store.insert(0, fv(s0, 100.0));
-        for _ in 0..3 {
-            assert!(matches!(
-                stage.reselect_cached(&lib, &catalog, &store, 3),
-                CacheLookup::Miss
-            ));
-            stage.store_plan(RotationPlan::default());
-        }
-        assert_eq!(stage.cache_stats(), (0, 3, 0));
-        // Invalidating a disabled cache is a counted no-op.
-        stage.invalidate(CacheInvalidation::Fault);
-        assert_eq!(stage.cache_stats(), (0, 3, 0));
-    }
-
-    #[test]
-    fn power_mode_switch_separates_cache_epochs() {
+    fn power_mode_switch_reweighs_under_the_new_goal() {
         use rispp_core::energy::EnergyModel;
         let (lib, catalog, s0, _) = platform();
         let mut stage = SelectionStage::new(GreedySelection, PowerMode::default());
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 3.0));
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
-        stage.store_plan(RotationPlan::default());
+        stage.reselect(&lib, &catalog, &store, 3);
+        assert!(stage.last_weights().weight_of(s0) > 0.0);
+        assert!(!stage.selection().chosen.is_empty());
         stage.set_power_mode(PowerMode::EnergySaving {
             model: EnergyModel::default(),
             alpha: 1.0,
         });
-        // Same store, new epoch: must miss and re-weigh under the new goal.
-        assert!(matches!(
-            stage.reselect_cached(&lib, &catalog, &store, 3),
-            CacheLookup::Miss
-        ));
+        // Same store, new goal: three executions never amortise a
+        // rotation, so the re-weighed demand is zero and nothing is chosen.
+        stage.reselect(&lib, &catalog, &store, 3);
         assert!(stage.last_weights().weight_of(s0).abs() < f64::EPSILON);
+        assert!(stage.selection().chosen.is_empty());
     }
 
     #[test]

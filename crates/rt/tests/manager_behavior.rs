@@ -570,3 +570,86 @@ fn two_tasks_share_atoms() {
     let rb = mgr.execute_si(1, s1);
     assert!(ra.hardware && rb.hardware);
 }
+
+/// Delegates to [`RotationStrategy::UpgradePath`] and counts the plans
+/// it was asked for.
+struct CountingPlanner(std::rc::Rc<std::cell::Cell<u32>>);
+
+impl rispp_rt::RotationSchedulePolicy for CountingPlanner {
+    fn plan(
+        &self,
+        lib: &SiLibrary,
+        selection: &rispp_rt::selection::MoleculeSelection,
+        weights: &rispp_rt::DemandWeights,
+    ) -> rispp_rt::RotationPlan {
+        self.0.set(self.0.get() + 1);
+        RotationStrategy::UpgradePath.plan(lib, selection, weights)
+    }
+}
+
+#[test]
+fn rotations_are_planned_only_when_the_fabric_must_move() {
+    use rispp_obs::{Record, TimelineSink};
+    use rispp_rt::manager::ManagerBuilder;
+    use rispp_rt::RotationSchedulePolicy;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    /// Drives one fixed script and returns its event timeline plus the
+    /// value of `plans()` after every step.
+    fn script<R: RotationSchedulePolicy>(
+        builder: ManagerBuilder<rispp_rt::LruSurplusPolicy, rispp_rt::GreedySelection, R>,
+        s0: SiId,
+        s1: SiId,
+        plans: &dyn Fn() -> u32,
+    ) -> (Vec<Record>, Vec<u32>) {
+        let timeline = Rc::new(RefCell::new(TimelineSink::new()));
+        let mut mgr = builder
+            .sink(SinkHandle::shared(timeline.clone()))
+            .deterministic_timing(true)
+            .build();
+        let mut seen = Vec::new();
+        // Needs Atoms: plans.
+        mgr.forecast(0, fv(s0, 100.0));
+        seen.push(plans());
+        let done = mgr.all_rotations_done_at().expect("rotations queued");
+        mgr.advance_to(done).unwrap();
+        assert!(mgr.execute_si(0, s0).hardware);
+        // Every target below stays within the loaded (2, 1).
+        mgr.forecast(0, fv(s0, 50.0));
+        seen.push(plans());
+        mgr.forecast(1, fv(s0, 20.0));
+        seen.push(plans());
+        mgr.record_fc_outcome(0, s0, true, 40_000.0, 60.0);
+        seen.push(plans());
+        mgr.retract_forecast(1, s0);
+        seen.push(plans());
+        mgr.retract_forecast(0, s0);
+        seen.push(plans());
+        mgr.forecast_block(0, vec![fv(s0, 100.0)]);
+        seen.push(plans());
+        assert!(mgr.execute_si(0, s0).hardware);
+        // S1 needs a second B Atom: plans once more.
+        mgr.forecast(1, fv(s1, 1_000.0));
+        seen.push(plans());
+        assert!(mgr.all_rotations_done_at().is_some());
+        drop(mgr);
+        let records = timeline.borrow().timeline().entries().to_vec();
+        (records, seen)
+    }
+
+    let (lib, fabric, s0, s1) = small_platform();
+    let count = Rc::new(Cell::new(0));
+    let counting =
+        RisppManager::builder(lib, fabric).schedule_policy(CountingPlanner(count.clone()));
+    let (counted, plans) = script(counting, s0, s1, &|| count.get());
+    assert_eq!(plans, [1, 1, 1, 1, 1, 1, 1, 2]);
+
+    let (lib, fabric, s0, s1) = small_platform();
+    let plain = RisppManager::builder(lib, fabric).rotation_strategy(RotationStrategy::UpgradePath);
+    let (expected, _) = script(plain, s0, s1, &|| 0);
+    assert_eq!(counted, expected);
+    assert!(counted
+        .iter()
+        .any(|r| matches!(r.event, Event::UpgradeStep { si, .. } if si == s1)));
+}

@@ -41,9 +41,6 @@ pub struct CodecRunOutcome {
     pub total_bits: usize,
     /// Rotations requested by the run-time system.
     pub rotations: u64,
-    /// Selection-cache flushes in the run-time system (never visible in
-    /// the event stream, so carried out-of-band here).
-    pub selection_cache_invalidations: u64,
 }
 
 /// Encodes `frames` synthetic frames of `width`×`height` on a RISPP
@@ -258,7 +255,6 @@ pub fn run_encoder_on_rispp_configured(
         mean_psnr: psnr_sum / frames as f64,
         total_bits,
         rotations: mgr.rotations_requested(),
-        selection_cache_invalidations: mgr.selection_cache_stats().2,
     }
 }
 

@@ -192,12 +192,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
         if let Some(profile) = self.manager.profiler().snapshot() {
             m.set_host_profile(profile);
         }
-        // Cache invalidations never reach the event stream, so fold the
-        // manager's count in here. Only the delta is registered, keeping
-        // this settle step idempotent.
-        let invalidations = self.manager.selection_cache_stats().2;
-        let noted = m.selection_cache_stats().2;
-        m.note_selection_cache_invalidations(invalidations.saturating_sub(noted));
         m.summary()
     }
 

@@ -359,7 +359,6 @@ impl ShardSpec {
         let extras = ExtraSinks::for_spec(self);
         let mut totals = StressTotals::default();
         let mut sim_cycles = 0u64;
-        let mut cache_invalidations = 0u64;
         let mut widest_lib = 0usize;
         let mut merged_counters: Option<CountersSink> = None;
         for platform in 0..platforms {
@@ -450,7 +449,6 @@ impl ShardSpec {
             }
             stats.rotations_requested = mgr.rotations_requested();
             sim_cycles += mgr.now();
-            cache_invalidations += mgr.selection_cache_stats().2;
             drop(mgr);
             if let Some(counters) = counters {
                 let counters = Rc::try_unwrap(counters)
@@ -469,7 +467,6 @@ impl ShardSpec {
         }
         let mut m = metrics.borrow_mut();
         m.finish();
-        m.note_selection_cache_invalidations(cache_invalidations);
         let summary = m.summary();
         drop(m);
         let events = counting.borrow().events;
@@ -543,7 +540,6 @@ impl ShardSpec {
         let mut m = metrics.borrow_mut();
         m.advance_to(out.total_cycles);
         m.finish();
-        m.note_selection_cache_invalidations(out.selection_cache_invalidations);
         let summary = m.summary();
         drop(m);
         let events = counting.borrow().events;
