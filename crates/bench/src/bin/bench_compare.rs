@@ -7,39 +7,36 @@
 //! ```
 //!
 //! `OLD` and `NEW` are each either a single `BENCH_*.json` file or a
-//! directory scanned for `BENCH_*.json` files (the repo root holds the
-//! committed baseline). `--threshold` is the relative slowdown that
-//! fails the gate (default 0.20 = 20%). `--soft` still prints the
-//! comparison but always exits zero — the CI smoke setting, where shared
-//! runners make wall time advisory rather than binding.
+//! directory holding the suite's `BENCH_<workload>.json` files (the repo
+//! root holds the committed baseline); other files there, such as a
+//! `fleet_bench` result, are ignored. `--threshold` is the relative
+//! slowdown that fails the gate (default 0.20 = 20%). `--soft` still
+//! prints the comparison but always exits zero — the CI smoke setting,
+//! where shared runners make wall time advisory rather than binding.
 
-use rispp_bench::harness::{compare, WorkloadResult};
+use std::path::{Path, PathBuf};
+
+use rispp_bench::harness::{bench_file_name, compare, suite_files_in, WorkloadResult, WORKLOADS};
 
 fn load_set(path: &str) -> Vec<WorkloadResult> {
     let meta =
         std::fs::metadata(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let files: Vec<String> = if meta.is_dir() {
-        let mut names: Vec<String> = std::fs::read_dir(path)
-            .unwrap_or_else(|e| fail(&format!("cannot list {path}: {e}")))
-            .filter_map(Result::ok)
-            .filter_map(|entry| entry.file_name().into_string().ok())
-            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-            .map(|name| format!("{path}/{name}"))
-            .collect();
-        names.sort();
-        names
+    let files = if meta.is_dir() {
+        suite_files_in(Path::new(path))
     } else {
-        vec![path.to_string()]
+        vec![PathBuf::from(path)]
     };
     if files.is_empty() {
-        fail(&format!("no BENCH_*.json files in {path}"));
+        let names: Vec<String> = WORKLOADS.iter().map(|w| bench_file_name(w)).collect();
+        fail(&format!("none of {} in {path}", names.join(", ")));
     }
     files
         .iter()
         .map(|file| {
+            let shown = file.display();
             let text = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| fail(&format!("cannot read {file}: {e}")));
-            WorkloadResult::from_json(&text).unwrap_or_else(|e| fail(&format!("{file}: {e}")))
+                .unwrap_or_else(|e| fail(&format!("cannot read {shown}: {e}")));
+            WorkloadResult::from_json(&text).unwrap_or_else(|e| fail(&format!("{shown}: {e}")))
         })
         .collect()
 }

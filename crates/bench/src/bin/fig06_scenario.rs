@@ -13,7 +13,8 @@
 //! `rispp_report` markdown analysis of this run, and `--trace-out PATH`
 //! writes a Chrome-trace-event JSON file of the same run — one track
 //! per Atom Container plus per-task SI slices and counter tracks —
-//! loadable in Perfetto or `chrome://tracing`.
+//! loadable in Perfetto or `chrome://tracing`. The events carry
+//! simulated time only, so two runs write byte-identical files.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -73,15 +74,9 @@ fn main() {
         report.rotations
     );
 
-    // Re-run with a JSONL export attached and the host profiler enabled,
-    // then rebuild the timeline purely from the exported text. Measured
-    // re-selection durations stay in the stream — this figure reports on
-    // one live run, not a replayable shard.
-    let spec = ShardSpec::new(Scenario::Fig6, 0)
-        .with_profile(true)
-        .with_deterministic(false);
-    let (mut engine, _) = spec.build_fig6();
-    let prof = engine.profiler().clone();
+    // Re-run with a JSONL export attached, then rebuild the timeline
+    // purely from the exported text.
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     engine.attach_sink(SinkHandle::shared(export.clone()));
     // Tee the binary transport off the same live run when asked, so
@@ -124,10 +119,7 @@ fn main() {
     }
     if report_out.is_some() || trace_out.is_some() {
         let config = ReportConfig::h264(6);
-        let mut analysis = analyze(&text, &config).expect("own export analyzes cleanly");
-        // This binary drove the live run, so it can attach what the
-        // export cannot carry: the run's host-time phase profile.
-        analysis.host_profile = prof.snapshot();
+        let analysis = analyze(&text, &config).expect("own export analyzes cleanly");
         if let Some(path) = &report_out {
             std::fs::write(path, render_markdown(&analysis, &config)).expect("write report");
             println!("markdown report written to {path}");

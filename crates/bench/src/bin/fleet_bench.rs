@@ -137,7 +137,6 @@ fn main() {
         .cloned();
     let factory = ScenarioFactory::new(scenario, args.seed)
         .with_sink(sink)
-        .with_profile(true)
         .with_fault_horizon(args.fault_horizon)
         .with_bin_template(bin_template.clone());
     let config = FleetConfig::new(args.shards).with_threads(args.threads);
@@ -218,7 +217,7 @@ fn main() {
         let out = factory.spec_for(0).with_sink(SinkSpec::Timeline).run();
         let timeline = out.timeline.expect("timeline capture was requested");
         let config = rispp::obs::TraceConfig::infer(&timeline);
-        let trace = rispp::obs::render_chrome_trace(&timeline, out.host.as_ref(), &config);
+        let trace = rispp::obs::render_chrome_trace(&timeline, &config);
         std::fs::write(path, &trace).expect("write Chrome trace");
         println!(
             "shard 0 Chrome trace written to {path} ({} events; open in Perfetto)",

@@ -8,9 +8,9 @@
 //! * the **workload runners** ([`run_workload`]): fig06 (the paper's
 //!   Fig. 6 scenario), stress (random platforms through the full stack)
 //!   and live_codec (the real encoder on RISPP), each executed with
-//!   warmup + N timed repetitions with the profiler *disabled* (pure
+//!   warmup + N timed repetitions with observability *disabled* (pure
 //!   host throughput), plus one instrumented repetition capturing event
-//!   counts, the [`MetricsSummary`] and the per-phase host-time profile;
+//!   counts, simulated cycles and the [`MetricsSummary`];
 //! * the **BENCH file format** ([`WorkloadResult::to_json`] /
 //!   [`WorkloadResult::from_json`]): hand-rolled JSON (the workspace is
 //!   offline — no serde) with a `schema_version` field, readable by any
@@ -20,12 +20,16 @@
 //!   logic behind the `bench_compare` binary and the CI perf-smoke job.
 //!
 //! Timing uses the vendored criterion shim's [`criterion::measure`], so
-//! `cargo bench` and the harness share one measurement core.
+//! `cargo bench` and the harness share one measurement core. The harness
+//! times whole repetitions only; per-layer host time comes from the
+//! benchmark's traced run (`perfbench/`), which reconciles with its wall
+//! time.
 
 use std::cell::RefCell;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use rispp::obs::{PhaseProfile, Record};
+use rispp::obs::Record;
 use rispp::prelude::*;
 
 /// Version of the `BENCH_*.json` schema this build writes.
@@ -41,6 +45,18 @@ pub const WORKLOADS: [&str; 3] = ["fig06", "stress", "live_codec"];
 #[must_use]
 pub fn bench_file_name(workload: &str) -> String {
     format!("BENCH_{workload}.json")
+}
+
+/// The suite's BENCH files present in `dir`, in [`WORKLOADS`] order.
+/// Other `BENCH_*.json` files there, such as a `fleet_bench` result, are
+/// not the suite's and are left out.
+#[must_use]
+pub fn suite_files_in(dir: &Path) -> Vec<PathBuf> {
+    WORKLOADS
+        .iter()
+        .map(|workload| dir.join(bench_file_name(workload)))
+        .filter(|path| path.is_file())
+        .collect()
 }
 
 /// Repetition plan for one suite run.
@@ -125,8 +141,6 @@ pub struct WorkloadResult {
     pub sim_cycles_per_sec: f64,
     /// Simulated-time summary of the instrumented repetition.
     pub metrics: MetricsSummary,
-    /// Host-time phase profile of the instrumented repetition.
-    pub phases: Vec<PhaseProfile>,
     /// Per-sink emit cost measured over a canned record set.
     pub sink_overhead_ns_per_event: SinkOverhead,
 }
@@ -140,12 +154,11 @@ struct RepOutcome {
     events: u64,
     sim_cycles: u64,
     metrics: MetricsSummary,
-    host: Option<HostProfile>,
 }
 
 /// The [`ShardSpec`] a harness workload runs as. Timed repetitions use
 /// the disabled sink (pure host throughput); the instrumented one adds
-/// the metrics pipeline and the host profiler.
+/// the metrics pipeline.
 fn workload_spec(workload: &str, config: &HarnessConfig, instrument: bool) -> ShardSpec {
     // Fixed per-workload seeds, unchanged across builds, so BENCH numbers
     // always measure the same work (live_codec keeps its historical seed).
@@ -160,9 +173,7 @@ fn workload_spec(workload: &str, config: &HarnessConfig, instrument: bool) -> Sh
     } else {
         SinkSpec::Null
     };
-    ShardSpec::new(scenario, seed)
-        .with_sink(sink)
-        .with_profile(instrument)
+    ShardSpec::new(scenario, seed).with_sink(sink)
 }
 
 fn run_once(workload: &str, config: &HarnessConfig, instrument: bool) -> RepOutcome {
@@ -171,7 +182,6 @@ fn run_once(workload: &str, config: &HarnessConfig, instrument: bool) -> RepOutc
         events: out.events,
         sim_cycles: out.sim_cycles,
         metrics: out.summary,
-        host: out.host,
     }
 }
 
@@ -265,8 +275,8 @@ pub fn median_ns(samples: &[u64]) -> u64 {
 }
 
 /// Runs one workload under the repetition plan: `config.warmup` untimed
-/// runs, `config.reps` timed runs with the profiler disabled, then one
-/// instrumented run capturing events, metrics and the phase profile.
+/// runs, `config.reps` timed runs with observability disabled, then one
+/// instrumented run capturing events, simulated cycles and metrics.
 ///
 /// # Panics
 ///
@@ -283,7 +293,6 @@ pub fn run_workload(workload: &str, config: &HarnessConfig) -> WorkloadResult {
     }
     let wall_ns_median = median_ns(&wall_ns);
     let outcome = run_once(workload, config, true);
-    let phases = outcome.host.map_or_else(Vec::new, |p| p.phases);
     let secs = wall_ns_median as f64 / 1e9;
     WorkloadResult {
         workload: workload.to_string(),
@@ -305,7 +314,6 @@ pub fn run_workload(workload: &str, config: &HarnessConfig) -> WorkloadResult {
             0.0
         },
         metrics: outcome.metrics,
-        phases,
         sink_overhead_ns_per_event: measure_sink_overhead(),
     }
 }
@@ -394,21 +402,6 @@ impl WorkloadResult {
             m.dropped_events
         ));
         out.push_str("  },\n");
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-                json_escape(&p.name),
-                p.count,
-                p.total_ns,
-                p.min_ns,
-                p.max_ns,
-                p.p50_ns,
-                p.p99_ns,
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
         let s = &self.sink_overhead_ns_per_event;
         out.push_str(&format!(
             "  \"sink_overhead_ns_per_event\": {{\"null\": {}, \"counters\": {}, \"timeline\": {}, \"jsonl\": {}, \"binary\": {}}}\n",
@@ -498,25 +491,6 @@ impl WorkloadResult {
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0),
         };
-        let phases = v
-            .get("phases")
-            .and_then(JsonValue::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|p| {
-                        Some(PhaseProfile {
-                            name: p.get("name")?.as_str()?.to_string(),
-                            count: p.get("count")?.as_u64()?,
-                            total_ns: p.get("total_ns")?.as_u64()?,
-                            min_ns: p.get("min_ns")?.as_u64()?,
-                            max_ns: p.get("max_ns")?.as_u64()?,
-                            p50_ns: p.get("p50_ns")?.as_u64()?,
-                            p99_ns: p.get("p99_ns")?.as_u64()?,
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
         let so = v
             .get("sink_overhead_ns_per_event")
             .ok_or("missing sink_overhead_ns_per_event")?;
@@ -532,7 +506,6 @@ impl WorkloadResult {
             events_per_sec: f64_field(&v, "events_per_sec")?,
             sim_cycles_per_sec: f64_field(&v, "sim_cycles_per_sec")?,
             metrics,
-            phases,
             sink_overhead_ns_per_event: SinkOverhead {
                 null: f64_field(so, "null")?,
                 counters: f64_field(so, "counters")?,
@@ -906,15 +879,6 @@ mod tests {
                 hw_fraction: 0.75,
                 ..MetricsSummary::default()
             },
-            phases: vec![PhaseProfile {
-                name: "reselect".to_string(),
-                count: 10,
-                total_ns: 1_234,
-                min_ns: 7,
-                max_ns: 600,
-                p50_ns: 100,
-                p99_ns: 600,
-            }],
             sink_overhead_ns_per_event: SinkOverhead {
                 null: 0.5,
                 counters: 20.0,

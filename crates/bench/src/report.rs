@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use rispp::core::atom::AtomSet;
 use rispp::obs::bin::{self, BinError};
 use rispp::obs::jsonl::{self, JsonlError};
-use rispp::obs::{Event, EventSink, HostProfile, MetricsSink, SpanBuilder, Timeline, TimelineSink};
+use rispp::obs::{Event, EventSink, MetricsSink, SpanBuilder, Timeline, TimelineSink};
 use rispp::sim::waveform::render_waveform;
 
 /// Platform knowledge the analyzer needs but the stream does not carry:
@@ -92,11 +92,6 @@ pub struct Analysis {
     pub spans: SpanBuilder,
     /// Time-weighted gauges (settled — `finish` already called).
     pub metrics: MetricsSink,
-    /// Host-time profile of the producing run. Always `None` from
-    /// [`analyze`] — the exported stream carries simulated time only —
-    /// but a caller that also drove the live run (e.g. the Fig. 6 binary)
-    /// can attach the profiler snapshot before rendering.
-    pub host_profile: Option<HostProfile>,
 }
 
 /// Replays every line into the timeline, span and metrics views at once.
@@ -132,7 +127,6 @@ impl FanoutSink {
             timeline: self.timeline.into_timeline(),
             spans: self.spans,
             metrics: self.metrics,
-            host_profile: None,
         }
     }
 }
@@ -207,21 +201,16 @@ pub fn analyze_bytes(bytes: &[u8], config: &ReportConfig) -> Result<Analysis, Re
 /// Renders the analysis as a Chrome-trace-event JSON document
 /// (loadable in Perfetto / `chrome://tracing`): one track per Atom
 /// Container with residency and rotation spans, one track per task with
-/// SI-execution slices, occupancy and bus counters, and — when the
-/// analysis carries one — the host-time profile as its own process.
-/// Atom names come from the platform configuration so slices read
-/// "DCT 4×4" rather than "atom#2".
+/// SI-execution slices, and occupancy and bus counters. Atom names come
+/// from the platform configuration so slices read "DCT 4×4" rather than
+/// "atom#2".
 #[must_use]
 pub fn render_trace(analysis: &Analysis, config: &ReportConfig) -> String {
     let trace_config = rispp::obs::TraceConfig::new(
         config.atoms.names().map(str::to_string).collect(),
         config.containers,
     );
-    rispp::obs::render_chrome_trace(
-        &analysis.timeline,
-        analysis.host_profile.as_ref(),
-        &trace_config,
-    )
+    rispp::obs::render_chrome_trace(&analysis.timeline, &trace_config)
 }
 
 fn opt(value: Option<u64>) -> String {
@@ -388,26 +377,10 @@ pub fn render_markdown(analysis: &Analysis, config: &ReportConfig) -> String {
     }
     let _ = writeln!(out);
 
-    if let Some(profile) = &analysis.host_profile {
-        let _ = writeln!(out, "## Host-time profile");
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "Wall-clock cost of the producing run's manager phases \
-             (host nanoseconds, not simulated cycles)."
-        );
-        let _ = writeln!(out);
-        let _ = write!(out, "{}", profile.render_markdown());
-        let _ = writeln!(out);
-    }
-
     let _ = writeln!(out, "## Prometheus exposition");
     let _ = writeln!(out);
     let _ = writeln!(out, "```text");
     let _ = write!(out, "{}", analysis.metrics.render_prometheus());
-    if let Some(profile) = &analysis.host_profile {
-        let _ = write!(out, "{}", profile.render_prometheus());
-    }
     let _ = writeln!(out, "```");
     out
 }
@@ -501,22 +474,6 @@ mod tests {
         let analysis = analyze(&text, &inferred).unwrap();
         let md = render_markdown(&analysis, &inferred);
         assert!(md.contains("## Metrics summary"));
-    }
-
-    #[test]
-    fn host_profile_section_appears_only_when_attached() {
-        let text = fig6_export();
-        let config = ReportConfig::h264(6);
-        let mut analysis = analyze(&text, &config).expect("export replays");
-        let md = render_markdown(&analysis, &config);
-        assert!(!md.contains("## Host-time profile"));
-
-        let prof = rispp::obs::ProfHandle::enabled();
-        drop(prof.scope("reselect"));
-        analysis.host_profile = prof.snapshot();
-        let md = render_markdown(&analysis, &config);
-        assert!(md.contains("## Host-time profile"));
-        assert!(md.contains("| reselect |"));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! soak) must render to byte-identical markdown.
 //!
 //! The JSONL fixture is committed once and must **never be regenerated**:
-//! live runs embed host-measured `reselect` durations (wall-clock
-//! nanoseconds), so re-exporting would churn the fixture on every machine
-//! without changing its meaning. Only the *markdown* is re-blessed, after
-//! a deliberate renderer or analyzer change:
+//! it was exported while the manager still timed re-selections on the
+//! host, so its `reselect` records carry nonzero `duration_ns` values in
+//! what is now a retired slot, and keeping it unchanged keeps such logs
+//! covered as decoder input. Only the *markdown* is re-blessed, after a
+//! deliberate renderer or analyzer change:
 //!
 //! ```text
 //! RISPP_BLESS=1 cargo test -p rispp-bench --test golden

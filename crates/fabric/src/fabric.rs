@@ -13,7 +13,7 @@ use std::fmt;
 
 use rispp_core::atom::{AtomKind, AtomSet};
 use rispp_core::molecule::Molecule;
-use rispp_obs::{Event, ProfHandle, SinkHandle};
+use rispp_obs::{Event, SinkHandle};
 
 use crate::catalog::AtomCatalog;
 use crate::clock::Clock;
@@ -198,9 +198,6 @@ pub struct Fabric {
     /// Structured-event sink (disabled by default). Cloning the fabric
     /// shares the sink, since handles are reference-counted.
     sink: SinkHandle,
-    /// Host-side wall-clock profiler (disabled by default); times
-    /// [`Fabric::advance_to`] as the `fabric_advance` phase.
-    prof: ProfHandle,
 }
 
 impl Fabric {
@@ -244,7 +241,6 @@ impl Fabric {
             rotation_seq: 0,
             loaded_revision: 0,
             sink: SinkHandle::null(),
-            prof: ProfHandle::null(),
         }
     }
 
@@ -306,18 +302,6 @@ impl Fabric {
     #[must_use]
     pub fn sink(&self) -> &SinkHandle {
         &self.sink
-    }
-
-    /// Installs a host-side wall-clock profiler; the fabric records its
-    /// `advance_to` host cost under the `fabric_advance` phase.
-    pub fn set_profiler(&mut self, prof: ProfHandle) {
-        self.prof = prof;
-    }
-
-    /// The installed host-side profiler (disabled by default).
-    #[must_use]
-    pub fn profiler(&self) -> &ProfHandle {
-        &self.prof
     }
 
     /// Number of Atom Containers.
@@ -586,7 +570,6 @@ impl Fabric {
     ///
     /// Returns [`FabricError::TimeReversal`] when `t` is in the past.
     pub fn advance_to(&mut self, t: u64) -> Result<Vec<FabricEvent>, FabricError> {
-        let _scope = self.prof.scope(rispp_obs::phase::FABRIC_ADVANCE);
         let now = self.clock.now();
         if t < now {
             return Err(FabricError::TimeReversal { now, requested: t });

@@ -32,8 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Deprecated shims elsewhere in the workspace exist for external callers
-// only; the fabric substrate itself must never consume them.
+// The fabric substrate must never consume deprecated items.
 #![deny(deprecated)]
 
 pub mod catalog;

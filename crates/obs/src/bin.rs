@@ -182,6 +182,15 @@ mod tag {
 /// codes stay below 0x80.
 const TRIGGER_RETIRED_CACHE_HIT: u8 = 0x80;
 
+/// What the encoder writes in a reselect record's retired duration
+/// slot. Streams written while the manager timed re-selections on the
+/// host carry a varint of nanoseconds there. The slot stays, written as
+/// zero and read then dropped by the decoder, so schema version 1 holds
+/// both ways: old streams decode here, and new streams decode in
+/// readers that still expect the field. It goes with the next version
+/// bump.
+const RETIRED_DURATION_NS: u64 = 0;
+
 fn trigger_code(t: ReselectTrigger) -> u8 {
     match t {
         ReselectTrigger::Forecast => 0,
@@ -419,14 +428,11 @@ fn encode_record(
             c.varint(u64::from(*task));
             c.varint(si.index() as u64);
         }
-        Event::Reselect {
-            trigger,
-            duration_ns,
-        } => {
+        Event::Reselect { trigger } => {
             c.push(tag::RESELECT);
             c.varint(delta);
             c.push(trigger_code(*trigger));
-            c.varint(*duration_ns);
+            c.varint(RETIRED_DURATION_NS);
         }
         Event::UpgradeStep {
             si,
@@ -826,10 +832,8 @@ fn decode_body(
             let code = b.u8("trigger")?;
             let trigger = trigger_from(code & !TRIGGER_RETIRED_CACHE_HIT)
                 .ok_or_else(|| err(offset, format!("unknown reselect trigger {code}")))?;
-            Event::Reselect {
-                trigger,
-                duration_ns: b.varint("duration_ns")?,
-            }
+            b.varint("duration_ns")?;
+            Event::Reselect { trigger }
         }
         tag::UPGRADE_STEP => {
             let task = match b.varint("task")? {
@@ -1227,7 +1231,6 @@ mod tests {
                 at: 1,
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Forecast,
-                    duration_ns: 12_345,
                 },
             },
             Record {
@@ -1350,7 +1353,6 @@ mod tests {
                 at: 91_001,
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Fault,
-                    duration_ns: 777,
                 },
             },
         ]
@@ -1509,32 +1511,59 @@ mod tests {
         assert!(e.message.contains("trailing bytes"), "{e}");
     }
 
+    /// A stream holding one reselect record whose body after the
+    /// timestamp delta is `fields`.
+    fn reselect_stream(fields: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        put_varint(&mut bytes, BIN_SCHEMA_VERSION);
+        bytes.push(2 + fields.len() as u8);
+        bytes.extend_from_slice(&[tag::RESELECT, 0]);
+        bytes.extend_from_slice(fields);
+        bytes
+    }
+
+    fn decode_timeline(bytes: &[u8]) -> Result<Vec<Record>, BinError> {
+        let mut sink = TimelineSink::new();
+        replay(bytes, &mut sink)?;
+        Ok(sink.timeline().entries().to_vec())
+    }
+
     #[test]
     fn the_retired_cache_marker_decodes_and_re_encodes_unmarked() {
-        let stream = |trigger: u8| {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&MAGIC);
-            put_varint(&mut bytes, BIN_SCHEMA_VERSION);
-            bytes.extend_from_slice(&[4, tag::RESELECT, 0, trigger, 42]);
-            bytes
-        };
         let code = trigger_code(ReselectTrigger::Retract);
-        let (plain, marked) = (stream(code), stream(code | TRIGGER_RETIRED_CACHE_HIT));
-        let decode = |bytes: &[u8]| {
-            let mut sink = TimelineSink::new();
-            replay(bytes, &mut sink).unwrap();
-            sink.timeline().entries().to_vec()
-        };
+        let plain = reselect_stream(&[code, 0]);
+        let marked = reselect_stream(&[code | TRIGGER_RETIRED_CACHE_HIT, 0]);
         let expected = vec![Record {
             at: 0,
             event: Event::Reselect {
                 trigger: ReselectTrigger::Retract,
-                duration_ns: 42,
             },
         }];
-        assert_eq!(decode(&plain), expected);
-        assert_eq!(decode(&marked), expected);
-        assert_eq!(encode_all(&decode(&marked)), plain);
+        assert_eq!(decode_timeline(&plain).unwrap(), expected);
+        assert_eq!(decode_timeline(&marked).unwrap(), expected);
+        assert_eq!(encode_all(&expected), plain);
+    }
+
+    #[test]
+    fn a_retired_duration_decodes_dropped_and_re_encodes_as_zero() {
+        let code = trigger_code(ReselectTrigger::Fault);
+        // 12_345 ns as a two-byte varint, as a host-timed run wrote it.
+        let timed = reselect_stream(&[code, 0xB9, 0x60]);
+        let expected = vec![Record {
+            at: 0,
+            event: Event::Reselect {
+                trigger: ReselectTrigger::Fault,
+            },
+        }];
+        assert_eq!(decode_timeline(&timed).unwrap(), expected);
+        assert_eq!(encode_all(&expected), reselect_stream(&[code, 0]));
+
+        // The slot is still required, and still a varint.
+        for fields in [&[code][..], &[code, 0x80]] {
+            let e = decode_timeline(&reselect_stream(fields)).unwrap_err();
+            assert!(e.message.contains("duration_ns"), "{e}");
+        }
     }
 
     #[test]

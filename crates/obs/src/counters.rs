@@ -206,7 +206,6 @@ pub struct CountersSink {
     containers_loaded: u64,
     containers_evicted: u64,
     reselects: u64,
-    reselect_ns: u64,
     upgrade_steps: u64,
 }
 
@@ -280,12 +279,6 @@ impl CountersSink {
         self.reselects
     }
 
-    /// Total wall-clock nanoseconds spent in observed re-selections.
-    #[must_use]
-    pub fn reselect_ns(&self) -> u64 {
-        self.reselect_ns
-    }
-
     /// Upgrade-path stages the scheduler staged.
     #[must_use]
     pub fn upgrade_steps(&self) -> u64 {
@@ -321,7 +314,6 @@ impl CountersSink {
         self.containers_loaded += other.containers_loaded;
         self.containers_evicted += other.containers_evicted;
         self.reselects += other.reselects;
-        self.reselect_ns = self.reselect_ns.saturating_add(other.reselect_ns);
         self.upgrade_steps += other.upgrade_steps;
     }
 }
@@ -361,10 +353,7 @@ impl EventSink for CountersSink {
                     c.misses += 1;
                 }
             }
-            Event::Reselect { duration_ns, .. } => {
-                self.reselects += 1;
-                self.reselect_ns += duration_ns;
-            }
+            Event::Reselect { .. } => self.reselects += 1,
             Event::UpgradeStep { .. } => self.upgrade_steps += 1,
         }
     }
@@ -444,7 +433,6 @@ mod tests {
             8,
             &Event::Reselect {
                 trigger: ReselectTrigger::Retract,
-                duration_ns: 250,
             },
         );
         sink.emit(
@@ -496,7 +484,6 @@ mod tests {
         assert_eq!(sink.containers_loaded(), 1);
         assert_eq!(sink.containers_evicted(), 1);
         assert_eq!(sink.reselects(), 1);
-        assert_eq!(sink.reselect_ns(), 250);
         assert_eq!(sink.upgrade_steps(), 1);
         assert_eq!(sink.rotations_failed(), 1);
         assert_eq!(sink.port_stalls(), 1);
@@ -651,7 +638,6 @@ mod tests {
             },
             Event::Reselect {
                 trigger: ReselectTrigger::Retract,
-                duration_ns: 125,
             },
             Event::ForecastRetracted {
                 task: 0,

@@ -152,9 +152,6 @@ pub enum Event {
     Reselect {
         /// What caused the re-evaluation.
         trigger: ReselectTrigger,
-        /// Wall-clock duration of the selection + scheduling pass, in
-        /// nanoseconds (host time, not simulated cycles).
-        duration_ns: u64,
     },
     /// The rotation scheduler staged one step of an SI's upgrade path
     /// ("Rotation in Advance": smallest fitting Molecule first).
@@ -228,10 +225,7 @@ impl fmt::Display for Record {
                 let what = if *reached { "hit" } else { "miss" };
                 write!(f, "{at:>12}  task{task} fc-{what}  {si}")
             }
-            Event::Reselect {
-                trigger,
-                duration_ns,
-            } => write!(f, "{at:>12}  reselect ({trigger}, {duration_ns}ns)"),
+            Event::Reselect { trigger } => write!(f, "{at:>12}  reselect ({trigger})"),
             Event::UpgradeStep {
                 si,
                 task,

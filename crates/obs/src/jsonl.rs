@@ -194,13 +194,12 @@ fn encode_into(out: &mut String, at: u64, event: &Event) {
                 si.index()
             );
         }
-        Event::Reselect {
-            trigger,
-            duration_ns,
-        } => {
+        Event::Reselect { trigger } => {
+            // `duration_ns` is a retired slot, written as zero: see the
+            // decoder.
             let _ = write!(
                 out,
-                "\"reselect\",\"trigger\":\"{trigger}\",\"duration_ns\":{duration_ns}"
+                "\"reselect\",\"trigger\":\"{trigger}\",\"duration_ns\":0"
             );
         }
         Event::UpgradeStep {
@@ -538,16 +537,19 @@ fn decode_at_line(line: &str, number: usize) -> Result<Record, JsonlError> {
                 "fault" => ReselectTrigger::Fault,
                 other => return Err(err(number, format!("unknown reselect trigger {other:?}"))),
             };
-            let duration_ns = fields.u64("duration_ns")?;
+            // The retired host-time slot: exports written while the
+            // manager timed re-selections on the host carry nanoseconds
+            // here. Encoders still write it, as zero, so schema version 1
+            // holds both ways: old exports decode here, and new exports
+            // decode in readers that still expect the field. It is
+            // required and checked, then dropped.
+            fields.u64("duration_ns")?;
             // The retired selection-cache marker: exports written while
             // the manager had a cache carry it; it is checked, then dropped.
             if fields.has("cache_hit") {
                 fields.bool("cache_hit")?;
             }
-            Event::Reselect {
-                trigger,
-                duration_ns,
-            }
+            Event::Reselect { trigger }
         }
         "upgrade_step" => Event::UpgradeStep {
             si: SiId(fields.usize("si")?),
@@ -700,7 +702,6 @@ mod tests {
                 at: 1,
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Forecast,
-                    duration_ns: 12_345,
                 },
             },
             Record {
@@ -803,7 +804,6 @@ mod tests {
                 at: 91_001,
                 event: Event::Reselect {
                     trigger: ReselectTrigger::Fault,
-                    duration_ns: 777,
                 },
             },
         ]
@@ -937,7 +937,7 @@ mod tests {
 
     #[test]
     fn the_retired_cache_marker_is_checked_then_dropped() {
-        let plain = "{\"at\":5,\"ev\":\"reselect\",\"trigger\":\"retract\",\"duration_ns\":42}";
+        let plain = "{\"at\":5,\"ev\":\"reselect\",\"trigger\":\"retract\",\"duration_ns\":0}";
         let marked = plain.replace('}', ",\"cache_hit\":true}");
         let record = decode(plain).unwrap();
         assert_eq!(decode(&marked).unwrap(), record);
@@ -947,6 +947,35 @@ mod tests {
         let e = replay(&format!("{plain}\n{bad}"), &mut TimelineSink::new()).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("cache_hit"), "{e}");
+    }
+
+    #[test]
+    fn a_retired_duration_is_checked_then_re_encoded_as_zero() {
+        let timed = "{\"at\":5,\"ev\":\"reselect\",\"trigger\":\"fault\",\"duration_ns\":12345}";
+        let record = decode(timed).unwrap();
+        assert_eq!(
+            record.event,
+            Event::Reselect {
+                trigger: ReselectTrigger::Fault
+            }
+        );
+        assert_eq!(
+            encode(record.at, &record.event),
+            timed.replace("12345", "0")
+        );
+
+        // The slot is still required, and still a u64.
+        let good = "{\"at\":1,\"ev\":\"forecast_retracted\",\"task\":0,\"si\":0}";
+        for bad in [
+            timed.replace(",\"duration_ns\":12345", ""),
+            timed.replace("12345", "1.5"),
+            timed.replace("12345", "-1"),
+            timed.replace("12345", "\"12345\""),
+        ] {
+            let e = replay(&format!("{good}\n{bad}"), &mut TimelineSink::new()).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}");
+            assert!(e.message.contains("duration_ns"), "{e}");
+        }
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //! * [`MetricsSink`] — time-weighted gauges: container occupancy, logic
 //!   utilization, rotation-bus busyness, forecast precision/recall,
 //!   cycles saved vs software; with a Prometheus-style text exposition.
-//! * [`ProfHandle`] / [`Profiler`] — host-side wall-clock profiling:
-//!   scoped, hierarchical phase timers for the manager's hot paths, one
-//!   branch when disabled, snapshot as a [`HostProfile`] table.
 //! * [`WindowSink`] — sliding-window rates and latency quantiles over
 //!   the event stream, keyed by simulated time so replays are
 //!   deterministic.
@@ -36,8 +33,12 @@
 //!   threshold, hold-for) parsed from a TOML subset and evaluated
 //!   against live metric lookups.
 //! * [`trace`] — Chrome-trace-event (Perfetto-loadable) export of a
-//!   [`Timeline`] + [`HostProfile`] into per-container, per-task, and
-//!   counter tracks.
+//!   [`Timeline`] into per-container, per-task, and counter tracks.
+//!
+//! Everything here observes the simulated machine, in simulated cycles.
+//! No event carries host time, so a seeded run exports the same bytes
+//! every time; host time is measured from outside the program, by the
+//! benchmark's traced run (`perfbench/`).
 //!
 //! ```
 //! use rispp_obs::{jsonl, Event, JsonlSink, SinkHandle, TimelineSink};
@@ -60,8 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// Deprecated shims elsewhere in the workspace exist for external callers
-// only; the observability layer itself must never consume them.
+// The observability layer must never consume deprecated items.
 #![deny(deprecated)]
 
 pub mod alert;
@@ -70,7 +70,6 @@ pub mod counters;
 pub mod event;
 pub mod jsonl;
 pub mod metrics;
-pub mod prof;
 pub mod sink;
 pub mod span;
 pub mod timeline;
@@ -83,7 +82,6 @@ pub use counters::{CountersSink, FcCounters, LatencyHistogram, SiCounters};
 pub use event::{Event, Record, ReselectTrigger, TaskId};
 pub use jsonl::{JsonlError, JsonlSink};
 pub use metrics::{ForecastStats, MetricsSink, MetricsSummary};
-pub use prof::{phase, HostProfile, PhaseProfile, ProfHandle, Profiler, ScopedPhase};
 pub use sink::{EventSink, NullSink, SinkHandle};
 pub use span::{LadderStep, Span, SpanBuilder, SpanClose};
 pub use timeline::{Timeline, TimelineSink};

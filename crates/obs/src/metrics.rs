@@ -354,9 +354,6 @@ pub struct MetricsSink {
     /// accrue once the SI has executed in software at least once.
     sw_baseline: BTreeMap<usize, u64>,
     cycles_saved: u64,
-    /// Attached host-time profile, rendered alongside the simulated-time
-    /// gauges in [`MetricsSink::render_prometheus`].
-    host_profile: Option<crate::prof::HostProfile>,
     /// Events a bounded capture elsewhere in the pipeline dropped; fed
     /// in via [`MetricsSink::note_dropped_events`], not the event
     /// stream (the sink itself never drops).
@@ -703,23 +700,7 @@ impl MetricsSink {
                 self.container_occupancy(i)
             );
         }
-        if let Some(profile) = &self.host_profile {
-            out.push_str(&profile.render_prometheus());
-        }
         out
-    }
-
-    /// Attaches a host-time profile snapshot; subsequent
-    /// [`MetricsSink::render_prometheus`] calls include its
-    /// `rispp_host_phase_*` series next to the simulated-time metrics.
-    pub fn set_host_profile(&mut self, profile: crate::prof::HostProfile) {
-        self.host_profile = Some(profile);
-    }
-
-    /// The attached host-time profile, when one was set.
-    #[must_use]
-    pub fn host_profile(&self) -> Option<&crate::prof::HostProfile> {
-        self.host_profile.as_ref()
     }
 }
 
@@ -1054,14 +1035,6 @@ mod tests {
         assert!(text.contains("rispp_fabric_occupancy 1"));
         assert!(text.contains("rispp_container_occupancy{container=\"0\"} 1"));
         assert!(text.contains("# TYPE rispp_rotations_completed_total counter"));
-        // Host-phase series appear only once a profile is attached.
-        assert!(!text.contains("rispp_host_phase"));
-        let prof = crate::ProfHandle::enabled();
-        drop(prof.scope("reselect"));
-        m.set_host_profile(prof.snapshot().unwrap());
-        assert_eq!(m.host_profile().unwrap().phases.len(), 1);
-        let text = m.render_prometheus();
-        assert!(text.contains("rispp_host_phase_count{phase=\"reselect\"} 1"));
     }
 
     #[test]

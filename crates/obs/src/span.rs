@@ -306,7 +306,6 @@ mod tests {
                 10,
                 Event::Reselect {
                     trigger: crate::event::ReselectTrigger::Forecast,
-                    duration_ns: 100,
                 },
             ),
             (

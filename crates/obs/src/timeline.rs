@@ -34,13 +34,6 @@ impl Timeline {
         &self.records
     }
 
-    /// Mutable access to the records, e.g. to normalise host-measured
-    /// `Reselect` durations before comparing timelines across runs.
-    #[must_use]
-    pub fn entries_mut(&mut self) -> &mut [Record] {
-        &mut self.records
-    }
-
     /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {

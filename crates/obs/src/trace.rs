@@ -1,6 +1,5 @@
-//! Chrome-trace-event export: renders a [`Timeline`] (plus an optional
-//! [`HostProfile`]) into the JSON the Perfetto UI and `chrome://tracing`
-//! load directly.
+//! Chrome-trace-event export: renders a [`Timeline`] into the JSON the
+//! Perfetto UI and `chrome://tracing` load directly.
 //!
 //! Track mapping (one simulated cycle = 1 µs of trace time):
 //!
@@ -17,10 +16,6 @@
 //!   Atom) and `bus_busy` (the single reconfiguration port), updated on
 //!   every transition — the paper's Fig. 6 occupancy ribbon as a
 //!   Perfetto counter.
-//! * **pid 3 — "host profile"**: per-phase totals of the optional
-//!   [`HostProfile`] laid end-to-end (host ns → trace µs), so the
-//!   simulated tracks and the host cost of producing them sit in one
-//!   view.
 //!
 //! Spans still open when the timeline ends are closed at its final
 //! timestamp, so a truncated capture still loads.
@@ -28,7 +23,6 @@
 use std::fmt::Write as _;
 
 use crate::event::Event;
-use crate::prof::HostProfile;
 use crate::timeline::Timeline;
 
 /// Names and shape used when rendering a trace.
@@ -103,7 +97,6 @@ fn json_escape(s: &str) -> String {
 
 const PID_FABRIC: u32 = 1;
 const PID_TASKS: u32 = 2;
-const PID_HOST: u32 = 3;
 
 /// Accumulates trace events as rendered JSON objects.
 struct TraceWriter {
@@ -156,16 +149,11 @@ impl TraceWriter {
     }
 }
 
-/// Renders a timeline (and an optional host profile) as a Chrome trace
-/// JSON object (`{"displayTimeUnit":…, "traceEvents":[…]}`) that the
-/// Perfetto UI loads directly. See the module docs for the track
-/// mapping.
+/// Renders a timeline as a Chrome trace JSON object
+/// (`{"displayTimeUnit":…, "traceEvents":[…]}`) that the Perfetto UI
+/// loads directly. See the module docs for the track mapping.
 #[must_use]
-pub fn render_chrome_trace(
-    timeline: &Timeline,
-    host: Option<&HostProfile>,
-    config: &TraceConfig,
-) -> String {
+pub fn render_chrome_trace(timeline: &Timeline, config: &TraceConfig) -> String {
     let mut w = TraceWriter::new();
     let end = timeline.entries().last().map(|r| r.at).unwrap_or(0);
 
@@ -312,28 +300,6 @@ pub fn render_chrome_trace(
         }
     }
 
-    if let Some(profile) = host {
-        if !profile.is_empty() {
-            w.meta(PID_HOST, None, "process_name", "host profile");
-            w.meta(PID_HOST, Some(0), "thread_name", "phases");
-            let mut cursor = 0u64;
-            for phase in &profile.phases {
-                // Host ns → trace µs, floored at 1 so every phase is
-                // visible.
-                let dur = (phase.total_ns / 1_000).max(1);
-                w.complete(
-                    PID_HOST,
-                    0,
-                    cursor,
-                    dur,
-                    &phase.name,
-                    &format!("\"count\":{},\"total_ns\":{}", phase.count, phase.total_ns),
-                );
-                cursor += dur;
-            }
-        }
-    }
-
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     for (i, e) in w.events.iter().enumerate() {
         if i > 0 {
@@ -349,7 +315,6 @@ pub fn render_chrome_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prof::PhaseProfile;
     use rispp_core::atom::AtomKind;
     use rispp_core::si::SiId;
 
@@ -407,7 +372,7 @@ mod tests {
     #[test]
     fn renders_container_task_and_counter_tracks() {
         let config = TraceConfig::new(vec!["QSub4".to_string(), "SAV".to_string()], 3);
-        let trace = render_chrome_trace(&sample(), None, &config);
+        let trace = render_chrome_trace(&sample(), &config);
         // Residency span with the Atom's name and the rotation span.
         assert!(trace.contains(
             "\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":100,\"dur\":100,\"name\":\"QSub4\""
@@ -435,32 +400,13 @@ mod tests {
     fn infer_counts_containers_and_names_fall_back() {
         let config = TraceConfig::infer(&sample());
         assert_eq!(config.containers, 3);
-        let trace = render_chrome_trace(&sample(), None, &config);
+        let trace = render_chrome_trace(&sample(), &config);
         assert!(trace.contains("\"name\":\"atom#0\""));
     }
 
     #[test]
-    fn host_profile_renders_as_its_own_process() {
-        let profile = HostProfile {
-            phases: vec![PhaseProfile {
-                name: "manager/reselect".to_string(),
-                count: 4,
-                total_ns: 8_000,
-                min_ns: 1_000,
-                max_ns: 3_000,
-                p50_ns: 2_048,
-                p99_ns: 4_096,
-            }],
-        };
-        let trace = render_chrome_trace(&sample(), Some(&profile), &TraceConfig::default());
-        assert!(trace.contains("\"args\":{\"name\":\"host profile\"}"));
-        assert!(trace.contains("\"name\":\"manager/reselect\""));
-        assert!(trace.contains("\"total_ns\":8000"));
-    }
-
-    #[test]
     fn empty_timeline_is_still_valid_and_names_are_escaped() {
-        let trace = render_chrome_trace(&Timeline::new(), None, &TraceConfig::default());
+        let trace = render_chrome_trace(&Timeline::new(), &TraceConfig::default());
         assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(trace.trim_end().ends_with("]}"));
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");

@@ -92,10 +92,7 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         (any::<u32>(), si_strategy()).prop_map(|(task, si)| Event::ForecastRetracted { task, si }),
         (any::<u32>(), si_strategy(), any::<bool>())
             .prop_map(|(task, si, reached)| Event::FcOutcome { task, si, reached }),
-        (trigger_strategy(), any::<u64>()).prop_map(|(trigger, duration_ns)| Event::Reselect {
-            trigger,
-            duration_ns
-        }),
+        trigger_strategy().prop_map(|trigger| Event::Reselect { trigger }),
         (
             si_strategy(),
             proptest::option::of(any::<u32>()),

@@ -28,7 +28,7 @@ use rispp_core::error::CoreError;
 use rispp_core::forecast::ForecastValue;
 use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::fabric::{Fabric, FabricError, FabricEvent};
-use rispp_obs::{phase, Event, ProfHandle, ReselectTrigger, SinkHandle};
+use rispp_obs::{Event, ReselectTrigger, SinkHandle};
 
 use crate::command::{self, Command};
 use crate::dispatch::DispatchTable;
@@ -102,12 +102,6 @@ pub struct RisppManager<P = LruSurplusPolicy, S = GreedySelection, R = RotationS
     /// Structured-event sink (disabled by default); shared with the fabric
     /// so rotation and manager events interleave in one stream.
     sink: SinkHandle,
-    /// Host-side wall-clock profiler (disabled by default); shared with
-    /// the fabric so every hot path reports into one phase tree.
-    prof: ProfHandle,
-    /// Report host-measured event payloads (`Reselect::duration_ns`) as
-    /// zero so the event stream replays bit-exactly across runs.
-    deterministic_timing: bool,
 }
 
 impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<P, S, R> {
@@ -193,7 +187,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     /// Handles an FC event: task `task` announces (or updates) a forecast
     /// for an SI. Triggers re-selection and rotation scheduling.
     pub fn forecast(&mut self, task: TaskId, value: ForecastValue) {
-        let _scope = self.prof.scope(phase::FORECAST_UPDATE);
         self.ledger.note_forecast_issued(value.si);
         self.sink
             .emit_with(self.fabric.now(), || Event::ForecastUpdated {
@@ -214,7 +207,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     where
         I: IntoIterator<Item = ForecastValue>,
     {
-        let _scope = self.prof.scope(phase::FORECAST_UPDATE);
         let mut any = false;
         for value in values {
             self.ledger.note_forecast_issued(value.si);
@@ -236,7 +228,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     /// Handles a negative FC: the SI is forecast to be no longer needed by
     /// `task` (the T2 step of Fig. 6). Frees its Atoms for other demands.
     pub fn retract_forecast(&mut self, task: TaskId, si: SiId) {
-        let _scope = self.prof.scope(phase::FORECAST_UPDATE);
         self.ledger.note_forecast_retracted(si);
         self.sink
             .emit(self.fabric.now(), &Event::ForecastRetracted { task, si });
@@ -254,7 +245,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
         observed_distance: f64,
         observed_executions: f64,
     ) {
-        let _scope = self.prof.scope(phase::FORECAST_UPDATE);
         self.ledger.note_fc_outcome(si, reached);
         self.sink
             .emit(self.fabric.now(), &Event::FcOutcome { task, si, reached });
@@ -289,7 +279,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     /// Returns [`CoreError::UnknownSi`] when `si` was not issued by this
     /// manager's library.
     pub fn try_execute_si(&mut self, task: TaskId, si: SiId) -> Result<ExecutionRecord, CoreError> {
-        let _scope = self.prof.scope(phase::SI_DISPATCH);
         let def = self.lib.try_get(si).ok_or(CoreError::UnknownSi {
             id: si.index(),
             library_len: self.lib.len(),
@@ -332,15 +321,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     /// when the fabric does not already hold the new target, re-schedules
     /// rotations towards it.
     fn reselect(&mut self, trigger: ReselectTrigger) {
-        // The profiler owns the host clock: the scope both feeds the
-        // phase histogram and yields the duration for the Reselect event.
-        // Forcing the clock while only the sink listens keeps the event's
-        // `duration_ns` available without a second timer; with neither
-        // enabled no host clock is read at all.
-        let scope = self.prof.scope_forcing(
-            phase::RESELECT,
-            self.sink.is_enabled() && !self.deterministic_timing,
-        );
         // Quarantined containers can never hold an Atom again; selecting
         // under the full container count would chase an unreachable
         // target forever.
@@ -361,34 +341,15 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                 .target
                 .le(&self.fabric.committed_molecule());
         if !satisfied {
-            let plan = {
-                let _sched = self.prof.scope(phase::ROTATION_SCHEDULE);
-                self.scheduler.plan(
-                    &self.lib,
-                    self.selector.selection(),
-                    self.selector.last_weights(),
-                )
-            };
+            let plan = self.scheduler.plan(
+                &self.lib,
+                self.selector.selection(),
+                self.selector.last_weights(),
+            );
             self.apply_plan(&plan);
         }
-        let measured = scope.stop();
-        if self.sink.is_enabled() {
-            // Under deterministic timing the event is still emitted (the
-            // stream's structure must not depend on the knob) but carries
-            // a zero duration, so exports replay bit-exactly.
-            let duration_ns = if self.deterministic_timing {
-                0
-            } else {
-                measured.unwrap_or(0)
-            };
-            self.sink.emit(
-                self.fabric.now(),
-                &Event::Reselect {
-                    trigger,
-                    duration_ns,
-                },
-            );
-        }
+        self.sink
+            .emit(self.fabric.now(), &Event::Reselect { trigger });
     }
 
     /// Executes a rotation plan: cancels queued-but-unstarted rotations

@@ -1,11 +1,10 @@
 //! Step-by-step construction of a [`RisppManager`] — the only place a
 //! manager comes into existence, so every invariant (library/fabric
-//! width agreement, shared sink and profiler wiring) is established
-//! here once.
+//! width agreement, shared sink wiring) is established here once.
 
 use rispp_core::si::SiLibrary;
 use rispp_fabric::fabric::Fabric;
-use rispp_obs::{ProfHandle, SinkHandle};
+use rispp_obs::SinkHandle;
 
 use crate::dispatch::DispatchTable;
 use crate::forecast::ForecastStore;
@@ -56,9 +55,7 @@ pub struct ManagerBuilder<P = LruSurplusPolicy, S = GreedySelection, R = Rotatio
     power_mode: PowerMode,
     lambda: f64,
     sink: SinkHandle,
-    prof: ProfHandle,
     retry_policy: RetryPolicy,
-    deterministic_timing: bool,
 }
 
 impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<P, S, R> {
@@ -75,9 +72,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             power_mode: self.power_mode,
             lambda: self.lambda,
             sink: self.sink,
-            prof: self.prof,
             retry_policy: self.retry_policy,
-            deterministic_timing: self.deterministic_timing,
         }
     }
 
@@ -94,9 +89,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             power_mode: self.power_mode,
             lambda: self.lambda,
             sink: self.sink,
-            prof: self.prof,
             retry_policy: self.retry_policy,
-            deterministic_timing: self.deterministic_timing,
         }
     }
 
@@ -117,9 +110,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             power_mode: self.power_mode,
             lambda: self.lambda,
             sink: self.sink,
-            prof: self.prof,
             retry_policy: self.retry_policy,
-            deterministic_timing: self.deterministic_timing,
         }
     }
 
@@ -174,27 +165,13 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
         self
     }
 
-    /// Installs a host-side wall-clock profiler (default: disabled). The
-    /// manager shares the profiler with its fabric, so manager phases and
-    /// `fabric_advance` report into the same phase tree. A disabled
-    /// handle costs one branch per instrumented phase and never reads the
-    /// host clock.
+    /// Does nothing: no event carries host time any more, so every
+    /// seeded run replays byte for byte without it. Kept only because
+    /// the benchmark's traced mirror of `ShardSpec::run` still calls it;
+    /// ROADMAP item 1(a) moves that mirror onto `ShardSpec` and removes
+    /// this last caller.
     #[must_use]
-    pub fn profiler(mut self, prof: ProfHandle) -> Self {
-        self.prof = prof;
-        self
-    }
-
-    /// Replays bit-exactly: host-measured durations in emitted events
-    /// (the `duration_ns` of `Reselect`) are reported as zero, so the
-    /// structured event stream depends only on simulated state — the
-    /// property the fleet layer's shard-replay guarantee rests on. An
-    /// installed profiler still measures real host time; only event
-    /// payloads are normalised. Default: off (events carry measured
-    /// durations).
-    #[must_use]
-    pub fn deterministic_timing(mut self, deterministic: bool) -> Self {
-        self.deterministic_timing = deterministic;
+    pub fn deterministic_timing(self, _deterministic: bool) -> Self {
         self
     }
 
@@ -214,7 +191,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
         let dispatch = DispatchTable::new(self.lib.len(), self.fabric.num_containers());
         let mut fabric = self.fabric;
         fabric.set_sink(SinkHandle::tee(fabric.sink().clone(), self.sink.clone()));
-        fabric.set_profiler(self.prof.clone());
         RisppManager {
             lib: self.lib,
             fabric,
@@ -226,8 +202,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
             backoff: BackoffGovernor::new(self.retry_policy),
             dispatch,
             sink: self.sink,
-            prof: self.prof,
-            deterministic_timing: self.deterministic_timing,
         }
     }
 }
@@ -246,9 +220,7 @@ impl RisppManager {
             power_mode: PowerMode::default(),
             lambda: 0.25,
             sink: SinkHandle::null(),
-            prof: ProfHandle::null(),
             retry_policy: RetryPolicy::default(),
-            deterministic_timing: false,
         }
     }
 }

@@ -8,7 +8,7 @@ use rispp_core::molecule::Molecule;
 use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::clock::Clock;
 use rispp_fabric::fabric::Fabric;
-use rispp_obs::{ProfHandle, SinkHandle};
+use rispp_obs::SinkHandle;
 
 use crate::policy::ReplacementPolicy;
 use crate::rotation::{RetryPolicy, RotationSchedulePolicy};
@@ -22,12 +22,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     #[must_use]
     pub fn sink(&self) -> &SinkHandle {
         &self.sink
-    }
-
-    /// The installed host-side profiler (disabled by default).
-    #[must_use]
-    pub fn profiler(&self) -> &ProfHandle {
-        &self.prof
     }
 
     /// The SI library.

@@ -4,7 +4,7 @@
 //! This module turns the active forecasts into the paper's run-time task
 //! (b), "Selecting Molecules considering the demands of all tasks":
 //!
-//! 1. [`weigh_demands`] aggregates a benefit weight per SI over all
+//! 1. [`weigh_demands_into`] aggregates a benefit weight per SI over all
 //!    demanding tasks, under the current adaptation goal ([`PowerMode`]);
 //! 2. a [`SelectionPolicy`] maps `(library, weights, capacity)` to a
 //!    [`MoleculeSelection`] — the greedy profit heuristic of the paper by
@@ -104,47 +104,47 @@ impl SelectionPolicy for ExhaustiveSelection {
     }
 }
 
-/// Aggregated benefit weight and owning task per demanded SI, kept as a
-/// flat `(si index, weight, owner)` list in ascending SI order — a
-/// representation the hot reselect path can refill in place without any
-/// per-call node allocation.
+/// Aggregated benefit weight and owning task per demanded SI, in
+/// ascending SI order. The `(si, weight)` pairs are the demand list the
+/// selection policy reads as is; the owners sit in a list beside them.
+/// The hot reselect path refills both in place, without any per-call
+/// allocation or copy.
 ///
 /// The owner is the first (lowest-id) task that demanded the SI; rotations
 /// requested on its behalf are attributed to that task in the event
 /// stream.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct DemandWeights(Vec<(usize, f64, TaskId)>);
+pub struct DemandWeights {
+    demands: Vec<(SiId, f64)>,
+    /// `owners[i]` owns `demands[i]`.
+    owners: Vec<TaskId>,
+}
 
 impl DemandWeights {
-    fn get(&self, si: SiId) -> Option<&(usize, f64, TaskId)> {
-        self.0
-            .binary_search_by_key(&si.index(), |&(i, _, _)| i)
+    fn position(&self, si: SiId) -> Option<usize> {
+        self.demands
+            .binary_search_by_key(&si.index(), |&(s, _)| s.index())
             .ok()
-            .map(|at| &self.0[at])
     }
 
     /// Aggregated weight of `si` (0 when undemanded).
     #[must_use]
     pub fn weight_of(&self, si: SiId) -> f64 {
-        self.get(si).map_or(0.0, |&(_, w, _)| w)
+        self.position(si).map_or(0.0, |at| self.demands[at].1)
     }
 
     /// Owning task of `si`, `None` when undemanded.
     #[must_use]
     pub fn owner_of(&self, si: SiId) -> Option<TaskId> {
-        self.get(si).map(|&(_, _, t)| t)
-    }
-
-    /// The weights as the `(si, weight)` demand list the selection
-    /// algorithms consume, in ascending SI order.
-    #[must_use]
-    pub fn as_demands(&self) -> Vec<(SiId, f64)> {
-        self.0.iter().map(|&(si, w, _)| (SiId(si), w)).collect()
+        self.position(si).map(|at| self.owners[at])
     }
 
     /// All `(si, weight, owner)` triples in ascending SI order.
     pub fn iter(&self) -> impl Iterator<Item = (SiId, f64, TaskId)> + '_ {
-        self.0.iter().map(|&(si, w, t)| (SiId(si), w, t))
+        self.demands
+            .iter()
+            .zip(&self.owners)
+            .map(|(&(si, w), &t)| (si, w, t))
     }
 }
 
@@ -162,29 +162,15 @@ pub fn minimal_rotation_bytes(lib: &SiLibrary, catalog: &AtomCatalog, si: SiId) 
 }
 
 /// Aggregates a benefit weight per SI over all demanding tasks, under the
-/// adaptation goal `mode`.
+/// adaptation goal `mode`, into caller-owned buffers: `acc` is a dense
+/// per-SI accumulator (resized to the library width), `out` is refilled
+/// in place. The hot reselect path reuses both across calls, so steady
+/// state weighs without allocating.
 ///
 /// In [`PowerMode::Performance`] a demand's weight is its expected cycle
 /// saving; in [`PowerMode::EnergySaving`] it becomes the expected energy
 /// saving in nanojoules, zeroed when the expected executions do not
 /// amortise the rotation transfer (§4.1's offset).
-#[must_use]
-pub fn weigh_demands(
-    lib: &SiLibrary,
-    catalog: &AtomCatalog,
-    mode: PowerMode,
-    demands: &ForecastStore,
-) -> DemandWeights {
-    let mut acc = Vec::new();
-    let mut out = DemandWeights::default();
-    weigh_demands_into(lib, catalog, mode, demands, &mut acc, &mut out);
-    out
-}
-
-/// [`weigh_demands`] into caller-owned buffers: `acc` is a dense
-/// per-SI accumulator (resized to the library width), `out` is refilled
-/// in place. The hot reselect path reuses both across calls, so steady
-/// state weighs without allocating.
 ///
 /// Benefits accumulate per SI in forecast-store iteration order and the
 /// first demanding task owns the SI — bit-identical to summing into a
@@ -225,22 +211,23 @@ pub fn weigh_demands_into(
         }
         slot.0 += benefit;
     }
-    out.0.clear();
-    out.0.extend(
-        acc.iter()
-            .enumerate()
-            .filter(|(_, &(_, _, demanded))| demanded)
-            .map(|(si, &(w, t, _))| (si, w, t)),
-    );
+    out.demands.clear();
+    out.owners.clear();
+    for (si, &(w, t, demanded)) in acc.iter().enumerate() {
+        if demanded {
+            out.demands.push((SiId(si), w));
+            out.owners.push(t);
+        }
+    }
 }
 
 /// The selection stage: policy + adaptation goal + the last selection
 /// and the weights that drove it.
 ///
-/// The stage owns the weigh accumulator, the demand list and the
-/// selection kernel's [`SelectionContext`], and refills them in place on
-/// every re-selection, so the hot path allocates nothing but the
-/// selection it produces.
+/// The stage owns the weigh accumulator, the weights and the selection
+/// kernel's [`SelectionContext`], and refills them in place on every
+/// re-selection, so the hot path allocates nothing but the selection it
+/// produces.
 #[derive(Debug, Clone)]
 pub struct SelectionStage<S = GreedySelection> {
     policy: S,
@@ -250,8 +237,6 @@ pub struct SelectionStage<S = GreedySelection> {
     ctx: SelectionContext,
     /// Dense per-SI accumulator reused by every weigh pass.
     weigh_acc: Vec<(f64, TaskId, bool)>,
-    /// `(si, weight)` list handed to the selection policy, reused.
-    demand_scratch: Vec<(SiId, f64)>,
     last_weights: DemandWeights,
 }
 
@@ -266,7 +251,6 @@ impl<S: SelectionPolicy> SelectionStage<S> {
             reselects: 0,
             ctx: SelectionContext::default(),
             weigh_acc: Vec::new(),
-            demand_scratch: Vec::new(),
             last_weights: DemandWeights::default(),
         }
     }
@@ -326,12 +310,9 @@ impl<S: SelectionPolicy> SelectionStage<S> {
             &mut self.weigh_acc,
             &mut self.last_weights,
         );
-        self.demand_scratch.clear();
-        self.demand_scratch
-            .extend(self.last_weights.iter().map(|(si, w, _)| (si, w)));
         self.selection =
             self.policy
-                .select_with(&mut self.ctx, lib, &self.demand_scratch, capacity);
+                .select_with(&mut self.ctx, lib, &self.last_weights.demands, capacity);
     }
 }
 
@@ -379,13 +360,24 @@ mod tests {
         ForecastValue::new(si, 1.0, 50_000.0, execs)
     }
 
+    fn weigh(
+        lib: &SiLibrary,
+        catalog: &AtomCatalog,
+        mode: PowerMode,
+        store: &ForecastStore,
+    ) -> DemandWeights {
+        let mut out = DemandWeights::default();
+        weigh_demands_into(lib, catalog, mode, store, &mut Vec::new(), &mut out);
+        out
+    }
+
     #[test]
     fn weights_aggregate_over_tasks_and_keep_first_owner() {
         let (lib, catalog, s0, _) = platform();
         let mut store = ForecastStore::new(0.25);
         store.insert(3, fv(s0, 10.0));
         store.insert(1, fv(s0, 10.0));
-        let w = weigh_demands(&lib, &catalog, PowerMode::Performance, &store);
+        let w = weigh(&lib, &catalog, PowerMode::Performance, &store);
         // 2 tasks × 10 executions × (500 − 10) cycles saved.
         assert!((w.weight_of(s0) - 2.0 * 10.0 * 490.0).abs() < 1e-9);
         // Iteration is (task, si)-ascending, so task 1 owns the SI.
@@ -404,10 +396,10 @@ mod tests {
         };
         let mut few = ForecastStore::new(0.25);
         few.insert(0, fv(s0, 3.0));
-        assert_eq!(weigh_demands(&lib, &catalog, mode, &few).weight_of(s0), 0.0);
+        assert_eq!(weigh(&lib, &catalog, mode, &few).weight_of(s0), 0.0);
         let mut many = ForecastStore::new(0.25);
         many.insert(0, fv(s0, 100_000.0));
-        assert!(weigh_demands(&lib, &catalog, mode, &many).weight_of(s0) > 0.0);
+        assert!(weigh(&lib, &catalog, mode, &many).weight_of(s0) > 0.0);
     }
 
     #[test]
@@ -431,9 +423,9 @@ mod tests {
         let mut store = ForecastStore::new(0.25);
         store.insert(0, fv(s0, 50.0));
         store.insert(1, fv(s1, 50.0));
-        let w = weigh_demands(&lib, &catalog, PowerMode::Performance, &store);
-        let greedy = GreedySelection.select(&lib, &w.as_demands(), 3);
-        let exhaustive = ExhaustiveSelection.select(&lib, &w.as_demands(), 3);
+        let w = weigh(&lib, &catalog, PowerMode::Performance, &store);
+        let greedy = GreedySelection.select(&lib, &w.demands, 3);
+        let exhaustive = ExhaustiveSelection.select(&lib, &w.demands, 3);
         assert_eq!(greedy.target, exhaustive.target);
     }
 

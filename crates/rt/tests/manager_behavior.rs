@@ -604,10 +604,7 @@ fn rotations_are_planned_only_when_the_fabric_must_move() {
         plans: &dyn Fn() -> u32,
     ) -> (Vec<Record>, Vec<u32>) {
         let timeline = Rc::new(RefCell::new(TimelineSink::new()));
-        let mut mgr = builder
-            .sink(SinkHandle::shared(timeline.clone()))
-            .deterministic_timing(true)
-            .build();
+        let mut mgr = builder.sink(SinkHandle::shared(timeline.clone())).build();
         let mut seen = Vec::new();
         // Needs Atoms: plans.
         mgr.forecast(0, fv(s0, 100.0));

@@ -19,7 +19,7 @@ use rispp_h264::encoder::{
 use rispp_h264::entropy::BitWriter;
 use rispp_h264::si_library::{build_library, H264Sis};
 use rispp_h264::video::SyntheticVideo;
-use rispp_obs::{ProfHandle, SinkHandle};
+use rispp_obs::SinkHandle;
 use rispp_rt::manager::RisppManager;
 
 use crate::scenario::h264_fabric;
@@ -90,39 +90,6 @@ pub fn run_encoder_on_rispp_with_faults(
     faults: Option<&FaultPlan>,
     sink: Option<SinkHandle>,
 ) -> CodecRunOutcome {
-    run_encoder_on_rispp_instrumented(
-        width,
-        height,
-        frames,
-        containers,
-        config,
-        seed,
-        faults,
-        sink,
-        ProfHandle::null(),
-    )
-}
-
-/// [`run_encoder_on_rispp_with_faults`] with a host-side profiler
-/// installed on the manager, so the benchmark harness can attribute the
-/// run's host cost to manager phases.
-///
-/// # Panics
-///
-/// Panics if `frames == 0` or the dimensions are not multiples of 16.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_encoder_on_rispp_instrumented(
-    width: usize,
-    height: usize,
-    frames: usize,
-    containers: usize,
-    config: &EncoderConfig,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-    sink: Option<SinkHandle>,
-    prof: ProfHandle,
-) -> CodecRunOutcome {
     run_encoder_on_rispp_configured(
         width,
         height,
@@ -132,15 +99,12 @@ pub fn run_encoder_on_rispp_instrumented(
         seed,
         faults,
         sink,
-        prof,
         rispp_rt::selection::PowerMode::default(),
-        false,
     )
 }
 
-/// The fully-parameterised encoder runner — fault plan, sink, profiler,
-/// power mode and deterministic event timing — which every narrower
-/// entry point above delegates to, and which
+/// The fully-parameterised encoder runner — fault plan, sink and power
+/// mode — which every narrower entry point above delegates to, and which
 /// [`ShardSpec`](crate::spec::ShardSpec) builds the live-codec scenario
 /// through.
 ///
@@ -158,9 +122,7 @@ pub fn run_encoder_on_rispp_configured(
     seed: u64,
     faults: Option<&FaultPlan>,
     sink: Option<SinkHandle>,
-    prof: ProfHandle,
     power_mode: rispp_rt::selection::PowerMode,
-    deterministic: bool,
 ) -> CodecRunOutcome {
     assert!(frames > 0, "need at least one frame");
     let (lib, sis) = build_library();
@@ -168,10 +130,7 @@ pub fn run_encoder_on_rispp_configured(
     if let Some(plan) = faults {
         fabric = fabric.with_faults(plan.clone());
     }
-    let mut builder = RisppManager::builder(lib, fabric)
-        .profiler(prof)
-        .power_mode(power_mode)
-        .deterministic_timing(deterministic);
+    let mut builder = RisppManager::builder(lib, fabric).power_mode(power_mode);
     if let Some(sink) = sink {
         builder = builder.sink(sink);
     }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rispp_core::si::SiId;
-use rispp_obs::{phase, MetricsSink, MetricsSummary, SinkHandle, Timeline, TimelineSink};
+use rispp_obs::{MetricsSink, MetricsSummary, SinkHandle, Timeline, TimelineSink};
 use rispp_rt::manager::{RisppManager, TaskId};
 use rispp_rt::policy::ReplacementPolicy;
 use rispp_rt::rotation::{RotationSchedulePolicy, RotationStrategy};
@@ -77,21 +77,10 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
                         .collect(),
                 ),
         ));
-        // When the manager carries a profiler, each consumer is wrapped
-        // so its per-event host cost lands in a `sink_emit/…` phase;
-        // disabled profilers make `wrap_sink` a pass-through.
-        let prof = manager.profiler().clone();
-        let consumers = SinkHandle::tee(
-            prof.wrap_sink(
-                phase::SINK_EMIT_TIMELINE,
-                SinkHandle::shared(timeline.clone()),
-            ),
-            prof.wrap_sink(
-                phase::SINK_EMIT_METRICS,
-                SinkHandle::shared(metrics.clone()),
-            ),
-        );
-        manager.tee_sink(consumers);
+        manager.tee_sink(SinkHandle::tee(
+            SinkHandle::shared(timeline.clone()),
+            SinkHandle::shared(metrics.clone()),
+        ));
         Engine {
             manager,
             tasks: Vec::new(),
@@ -106,20 +95,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
     /// [`JsonlSink`](rispp_obs::JsonlSink) exporting the run, or a
     /// [`CountersSink`](rispp_obs::CountersSink) aggregating statistics).
     pub fn attach_sink(&mut self, sink: SinkHandle) {
-        let sink = self
-            .manager
-            .profiler()
-            .clone()
-            .wrap_sink(phase::SINK_EMIT_ATTACHED, sink);
         self.manager.tee_sink(sink);
-    }
-
-    /// The manager's host-side profiler handle (disabled unless one was
-    /// installed via
-    /// [`ManagerBuilder::profiler`](rispp_rt::manager::ManagerBuilder::profiler)).
-    #[must_use]
-    pub fn profiler(&self) -> &rispp_obs::ProfHandle {
-        self.manager.profiler()
     }
 
     /// Enables FC monitoring: each forecast is watched until the SI is
@@ -164,13 +140,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
         Ref::map(self.timeline.borrow(), TimelineSink::timeline)
     }
 
-    /// Deprecated alias of [`Engine::timeline`].
-    #[deprecated(since = "0.2.0", note = "use `Engine::timeline`")]
-    #[must_use]
-    pub fn trace(&self) -> Ref<'_, Timeline> {
-        self.timeline()
-    }
-
     /// The derived time-weighted gauges, live alongside the timeline.
     ///
     /// Borrows from the engine's shared sink; drop the returned guard
@@ -189,9 +158,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
         let mut m = self.metrics.borrow_mut();
         m.advance_to(self.manager.now());
         m.finish();
-        if let Some(profile) = self.manager.profiler().snapshot() {
-            m.set_host_profile(profile);
-        }
         m.summary()
     }
 
@@ -392,74 +358,6 @@ mod tests {
         // The gauges saw the same stream as the timeline.
         let (_, completed) = engine.metrics().rotations();
         assert_eq!(completed as usize, engine.timeline().rotations_completed());
-    }
-
-    #[test]
-    fn profiled_run_attributes_host_time_to_phases() {
-        let atoms = AtomSet::from_names(["A", "B"]);
-        let catalog = AtomCatalog::new(vec![
-            AtomHwProfile::new("A", 100, 200, 6_920),
-            AtomHwProfile::new("B", 100, 200, 6_920),
-        ]);
-        let fabric = Fabric::new(atoms, catalog, 2);
-        let mut lib = SiLibrary::new(2);
-        let si = lib
-            .insert(
-                SpecialInstruction::new(
-                    "S",
-                    500,
-                    vec![MoleculeImpl::new(Molecule::from_counts([1, 1]), 20)],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        let prof = rispp_obs::ProfHandle::enabled();
-        let mgr = RisppManager::builder(lib, fabric)
-            .profiler(prof.clone())
-            .build();
-        let mut engine = Engine::new(mgr);
-        engine.add_task(Task::new(
-            0,
-            "worker",
-            vec![
-                Op::Forecast(ForecastValue::new(si, 1.0, 40_000.0, 100.0)),
-                Op::Repeat {
-                    body: vec![Op::ExecSi(si), Op::Plain(1_000)],
-                    times: 40,
-                },
-            ],
-        ));
-        engine.run(1_000);
-        let summary = engine.finish_metrics();
-        assert_eq!(summary.executions_total, 40);
-
-        let profile = engine.profiler().snapshot().expect("profiler enabled");
-        let names: Vec<&str> = profile.phases.iter().map(|p| p.name.as_str()).collect();
-        // The manager phases nest: the forecast triggered a reselect which
-        // scheduled rotations; SI dispatch and fabric advances report too.
-        for expected in [
-            "forecast_update",
-            "forecast_update/reselect",
-            "forecast_update/reselect/rotation_schedule",
-            "si_dispatch",
-            "fabric_advance",
-            "sink_emit/timeline",
-            "sink_emit/metrics",
-        ] {
-            assert!(names.contains(&expected), "missing phase {expected}");
-        }
-        let dispatch = profile
-            .phases
-            .iter()
-            .find(|p| p.name == "si_dispatch")
-            .unwrap();
-        assert_eq!(dispatch.count, 40);
-        // finish_metrics attached the profile, so the exposition and the
-        // report pipeline both see the host-time table.
-        assert!(engine
-            .metrics()
-            .render_prometheus()
-            .contains("rispp_host_phase_count{phase=\"si_dispatch\"} 40"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use rispp_fabric::FaultPlan;
-use rispp_obs::{HostProfile, LatencyHistogram, MetricsSummary};
+use rispp_obs::{LatencyHistogram, MetricsSummary};
 use rispp_rt::selection::PowerMode;
 
 use crate::spec::{Scenario, ShardOutcome, ShardSpec, SinkSpec, StressTotals};
@@ -54,8 +54,6 @@ pub struct ScenarioFactory {
     pub power_mode: PowerMode,
     /// Observability riding along on every shard.
     pub sink: SinkSpec,
-    /// Install host-side profilers.
-    pub profile: bool,
     /// When set, each shard gets [`FaultPlan::seeded`] from its derived
     /// seed over this horizon (in cycles).
     pub fault_horizon: Option<u64>,
@@ -67,7 +65,7 @@ pub struct ScenarioFactory {
 
 impl ScenarioFactory {
     /// A factory with the default trimmings: performance mode, metrics
-    /// sinks, no profilers, no faults.
+    /// sinks, no faults.
     #[must_use]
     pub fn new(scenario: Scenario, fleet_seed: u64) -> Self {
         ScenarioFactory {
@@ -75,7 +73,6 @@ impl ScenarioFactory {
             fleet_seed,
             power_mode: PowerMode::default(),
             sink: SinkSpec::default(),
-            profile: false,
             fault_horizon: None,
             bin_template: None,
         }
@@ -92,13 +89,6 @@ impl ScenarioFactory {
     #[must_use]
     pub fn with_sink(mut self, sink: SinkSpec) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Enables host-side profiling on every shard.
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -126,8 +116,7 @@ impl ScenarioFactory {
         let seed = derive_shard_seed(self.fleet_seed, shard);
         let mut spec = ShardSpec::new(self.scenario, seed)
             .with_power_mode(self.power_mode)
-            .with_sink(self.sink)
-            .with_profile(self.profile);
+            .with_sink(self.sink);
         if let Some(horizon) = self.fault_horizon {
             spec = spec.with_faults(FaultPlan::seeded(seed, self.scenario.containers(), horizon));
         }
@@ -189,8 +178,6 @@ pub struct FleetAggregate {
     pub summary: MetricsSummary,
     /// Fleet-wide SI latency distribution.
     pub latency: LatencyHistogram,
-    /// Merged host-side phase table (when shards profiled).
-    pub host: Option<HostProfile>,
     /// Summed stress tallies (when the scenario was stress).
     pub stress: Option<StressTotals>,
 }
@@ -214,12 +201,6 @@ impl FleetAggregate {
             agg.sim_cycles += shard.sim_cycles;
             agg.summary.merge(&shard.summary);
             agg.latency.merge(&shard.latency);
-            if let Some(host) = &shard.host {
-                match &mut agg.host {
-                    Some(mine) => mine.merge(host),
-                    None => agg.host = Some(host.clone()),
-                }
-            }
             if let Some(stress) = &shard.stress {
                 match &mut agg.stress {
                     Some(mine) => mine.merge(stress),

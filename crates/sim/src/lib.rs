@@ -22,8 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// The deprecated shims below exist for external callers only; the crate
-// itself must not regress into using them.
+// The crate must never consume deprecated items.
 #![deny(deprecated)]
 
 pub mod asm;
@@ -45,8 +44,8 @@ pub use chaos::{
     Fig6ChaosOutcome,
 };
 pub use codec_runner::{
-    run_encoder_on_rispp, run_encoder_on_rispp_configured, run_encoder_on_rispp_instrumented,
-    run_encoder_on_rispp_with_faults, CodecRunOutcome,
+    run_encoder_on_rispp, run_encoder_on_rispp_configured, run_encoder_on_rispp_with_faults,
+    CodecRunOutcome,
 };
 pub use codegen::{generate_trace_program, lower_block};
 pub use cpu::{Cpu, Instr, RunSummary, StopReason};
@@ -56,8 +55,7 @@ pub use fleet::{
 };
 pub use multimode::{run_multimode, MultiModeOutcome, PhaseSpec};
 pub use scenario::{
-    fig6_engine, fig6_engine_configured, fig6_engine_with, fig6_engine_with_faults, h264_fabric,
-    run_fig6, Fig6Report,
+    fig6_engine, fig6_engine_configured, fig6_engine_with_faults, h264_fabric, run_fig6, Fig6Report,
 };
 pub use spec::{random_platform, Scenario, ShardOutcome, ShardSpec, SinkSpec, StressTotals};
 pub use task::{Op, ProgramCursor, Task};
@@ -66,22 +64,3 @@ pub use waveform::{container_timelines, render_waveform, ContainerTimeline, Occu
 // query an [`Engine`]'s timeline without naming the obs crate directly.
 pub use rispp_fabric::clock::Clock;
 pub use rispp_obs::{BinaryReader, BinarySink, Event, Record, Timeline, TimelineSink};
-
-/// The simulator's event log, now the shared [`rispp_obs::Timeline`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rispp_obs::Timeline` (re-exported as `Timeline`)"
-)]
-pub type Trace = rispp_obs::Timeline;
-/// One timestamped event, now the shared [`rispp_obs::Record`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rispp_obs::Record` (re-exported as `Record`)"
-)]
-pub type TraceEntry = rispp_obs::Record;
-/// The event payload, now the shared [`rispp_obs::Event`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rispp_obs::Event` (re-exported as `Event`)"
-)]
-pub type TraceEvent = rispp_obs::Event;

@@ -66,42 +66,22 @@ pub fn fig6_engine() -> (Engine<LruSurplusPolicy>, H264Sis) {
 pub fn fig6_engine_with_faults(
     faults: &rispp_fabric::FaultPlan,
 ) -> (Engine<LruSurplusPolicy>, H264Sis) {
-    fig6_engine_with(faults, rispp_obs::ProfHandle::null())
+    fig6_engine_configured(faults, rispp_rt::selection::PowerMode::default())
 }
 
-/// [`fig6_engine_with_faults`] with a host-side profiler installed on the
-/// manager — the benchmark harness's entry point for instrumented runs.
-#[must_use]
-pub fn fig6_engine_with(
-    faults: &rispp_fabric::FaultPlan,
-    prof: rispp_obs::ProfHandle,
-) -> (Engine<LruSurplusPolicy>, H264Sis) {
-    fig6_engine_configured(
-        faults,
-        prof,
-        rispp_rt::selection::PowerMode::default(),
-        false,
-    )
-}
-
-/// The fully-parameterised Fig. 6 constructor — fault plan, profiler,
-/// power mode and deterministic event timing — which every narrower
-/// entry point above delegates to, and which
+/// The fully-parameterised Fig. 6 constructor — fault plan and power
+/// mode — which every narrower entry point above delegates to, and which
 /// [`ShardSpec::build_fig6`](crate::spec::ShardSpec::build_fig6)
 /// exposes as part of the unified construction API.
 #[must_use]
 pub fn fig6_engine_configured(
     faults: &rispp_fabric::FaultPlan,
-    prof: rispp_obs::ProfHandle,
     power_mode: rispp_rt::selection::PowerMode,
-    deterministic: bool,
 ) -> (Engine<LruSurplusPolicy>, H264Sis) {
     let (lib, sis) = build_library();
     let fabric = h264_fabric(6).with_faults(faults.clone());
     let manager = RisppManager::builder(lib, fabric)
-        .profiler(prof)
         .power_mode(power_mode)
-        .deterministic_timing(deterministic)
         .build();
     let mut engine = Engine::new(manager);
 

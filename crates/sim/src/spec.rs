@@ -30,8 +30,8 @@ use rispp_fabric::FaultPlan;
 use rispp_h264::encoder::EncoderConfig;
 use rispp_h264::si_library::H264Sis;
 use rispp_obs::{
-    BinarySink, CountersSink, Event, EventSink, HostProfile, JsonlSink, LatencyHistogram,
-    MetricsSink, MetricsSummary, ProfHandle, SinkHandle, Timeline, TimelineSink,
+    BinarySink, CountersSink, Event, EventSink, JsonlSink, LatencyHistogram, MetricsSink,
+    MetricsSummary, SinkHandle, Timeline, TimelineSink,
 };
 use rispp_rt::manager::RisppManager;
 use rispp_rt::policy::LruSurplusPolicy;
@@ -172,30 +172,19 @@ pub struct ShardSpec {
     pub faults: FaultPlan,
     /// Observability riding along.
     pub sink: SinkSpec,
-    /// Install a host-side profiler; the outcome then carries the
-    /// [`HostProfile`] phase table.
-    pub profile: bool,
     /// Assert the RISPP invariants on every step (stress scenario only;
     /// costs host time, so timed benchmark reps leave it off).
     pub checks: bool,
-    /// Normalise host-measured event payloads to zero (see
-    /// [`ManagerBuilder::deterministic_timing`](rispp_rt::manager::ManagerBuilder::deterministic_timing)),
-    /// so the same spec always produces byte-identical exports — the
-    /// default, because replayability is the point of specs. Disable to
-    /// keep measured re-selection durations in the event stream.
-    pub deterministic: bool,
     /// When set, stream the compact binary export of every event to this
     /// file during the run (independent of [`ShardSpec::sink`], so a
     /// fleet can capture one log per shard while keeping the cheap
-    /// metrics sinks). The capture happens live — it is authoritative
-    /// even for scenarios whose exports are not replay-stable run to
-    /// run.
+    /// metrics sinks).
     pub bin_path: Option<PathBuf>,
 }
 
 impl ShardSpec {
     /// A spec with the default trimmings: performance mode, no faults,
-    /// metrics sinks, no profiler, no per-step checks.
+    /// metrics sinks, no per-step checks.
     #[must_use]
     pub fn new(scenario: Scenario, seed: u64) -> Self {
         ShardSpec {
@@ -204,9 +193,7 @@ impl ShardSpec {
             power_mode: PowerMode::default(),
             faults: FaultPlan::none(),
             sink: SinkSpec::default(),
-            profile: false,
             checks: false,
-            deterministic: true,
             bin_path: None,
         }
     }
@@ -232,24 +219,10 @@ impl ShardSpec {
         self
     }
 
-    /// Enables the host-side profiler.
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Enables per-step invariant checks (stress scenario).
     #[must_use]
     pub fn with_checks(mut self, checks: bool) -> Self {
         self.checks = checks;
-        self
-    }
-
-    /// Toggles deterministic event timing (on by default).
-    #[must_use]
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
         self
     }
 
@@ -276,12 +249,7 @@ impl ShardSpec {
             Scenario::Fig6,
             "build_fig6 needs a Fig6 spec"
         );
-        let prof = if self.profile {
-            ProfHandle::enabled()
-        } else {
-            ProfHandle::null()
-        };
-        fig6_engine_configured(&self.faults, prof, self.power_mode, self.deterministic)
+        fig6_engine_configured(&self.faults, self.power_mode)
     }
 
     /// Runs the shard to completion and distils the outcome.
@@ -318,7 +286,6 @@ impl ShardSpec {
         let end = engine.run(100_000);
         let events = engine.timeline().len() as u64;
         let summary = engine.finish_metrics();
-        let host = engine.profiler().snapshot();
         let lib_len = engine.manager().library().len();
         drop(engine);
         let counters = counters.map(|c| {
@@ -339,7 +306,6 @@ impl ShardSpec {
             summary,
             counters,
             latency,
-            host,
             timeline,
             jsonl,
             binary,
@@ -349,11 +315,6 @@ impl ShardSpec {
     }
 
     fn run_stress(&self, platforms: u64, steps: u32) -> ShardOutcome {
-        let prof = if self.profile {
-            ProfHandle::enabled()
-        } else {
-            ProfHandle::null()
-        };
         let counting = Rc::new(RefCell::new(CountingSink::default()));
         let metrics = Rc::new(RefCell::new(MetricsSink::new()));
         let extras = ExtraSinks::for_spec(self);
@@ -395,9 +356,7 @@ impl ShardSpec {
             };
             let mut mgr = RisppManager::builder(lib.clone(), fabric)
                 .power_mode(self.power_mode)
-                .deterministic_timing(self.deterministic)
                 .sink(sink)
-                .profiler(prof.clone())
                 .build();
             let mut stats = StressTotals::default();
             for _ in 0..steps {
@@ -483,7 +442,6 @@ impl ShardSpec {
             summary,
             counters: merged_counters,
             latency,
-            host: prof.snapshot(),
             timeline,
             jsonl,
             binary,
@@ -499,11 +457,6 @@ impl ShardSpec {
         frames: usize,
         containers: usize,
     ) -> ShardOutcome {
-        let prof = if self.profile {
-            ProfHandle::enabled()
-        } else {
-            ProfHandle::null()
-        };
         let counting = Rc::new(RefCell::new(CountingSink::default()));
         let metrics = Rc::new(RefCell::new(MetricsSink::new().with_containers(containers)));
         let counters = Rc::new(RefCell::new(CountersSink::new()));
@@ -533,9 +486,7 @@ impl ShardSpec {
             self.seed,
             faults,
             sink,
-            prof.clone(),
             self.power_mode,
-            self.deterministic,
         );
         let mut m = metrics.borrow_mut();
         m.advance_to(out.total_cycles);
@@ -562,7 +513,6 @@ impl ShardSpec {
             summary,
             counters,
             latency,
-            host: prof.snapshot(),
             timeline,
             jsonl,
             binary,
@@ -592,8 +542,6 @@ pub struct ShardOutcome {
     pub counters: Option<CountersSink>,
     /// Latency of every SI execution, across all SIs.
     pub latency: LatencyHistogram,
-    /// Host-side phase profile (present when the spec enabled profiling).
-    pub host: Option<HostProfile>,
     /// The full event timeline (under [`SinkSpec::Timeline`] /
     /// [`SinkSpec::Jsonl`] where the scenario records one).
     pub timeline: Option<Timeline>,

@@ -83,9 +83,8 @@ proptest! {
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    /// Engine runs are deterministic. The `Reselect` events carry host
-    /// wall-clock durations (a profiling aid, not simulated time), so the
-    /// comparison zeroes those out.
+    /// Engine runs are deterministic: the same ops give the same end
+    /// time and the same timeline, event for event.
     #[test]
     fn runs_are_deterministic(
         ops in proptest::collection::vec(op(SiId(0)), 1..30),
@@ -96,12 +95,7 @@ proptest! {
             let mut engine = Engine::new(mgr);
             engine.add_task(Task::new(0, "t", ops.clone()));
             let end = engine.run(10_000);
-            let mut timeline = engine.timeline().clone();
-            for record in timeline.entries_mut() {
-                if let rispp_obs::Event::Reselect { duration_ns, .. } = &mut record.event {
-                    *duration_ns = 0;
-                }
-            }
+            let timeline = engine.timeline().clone();
             (end, timeline)
         };
         let (e1, t1) = run();

@@ -2,15 +2,18 @@
 //! facade crate:
 //!
 //! * a shard of an N-shard fleet, re-run standalone from its derived
-//!   seed, reproduces the fleet's result **byte-identically** (JSONL
-//!   export and all) — the contract that makes any fleet member
-//!   debuggable in isolation;
+//!   seed, reproduces the fleet's result **byte-identically** (JSONL and
+//!   binary exports and all) — the contract that makes any fleet member
+//!   debuggable in isolation — and so does every other run;
 //! * fleet aggregation is invariant under shard permutation (the join
 //!   stage folds in canonical order, so float sums cannot depend on
 //!   thread finish order);
 //! * the fan-out actually uses min(shards, cores) OS threads;
 //! * the binary captures `rispp-obs`'s decoder tests read are what a
 //!   fresh shard run writes.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use rispp::prelude::*;
@@ -90,6 +93,76 @@ fn live_codec_shard_replays_byte_identical_jsonl() {
     assert_eq!(&replay, &fleet.shards[1]);
     // The functional outcome rides along: same pixels, same bits.
     assert_eq!(replay.codec, fleet.shards[1].codec);
+}
+
+/// Every run writes the same bytes. For each scenario, with and without
+/// a fault plan, under both codecs, every shard of a fleet and its
+/// standalone replay export the same stream; and an engine built
+/// without a spec exports the same stream on every run.
+#[test]
+fn every_run_replays_byte_identical() {
+    let live_codec = Scenario::LiveCodec {
+        width: 32,
+        height: 32,
+        frames: 1,
+        containers: 4,
+    };
+    let cases = [
+        (Scenario::Fig6, None),
+        (Scenario::Fig6, Some(2_000_000)),
+        (
+            Scenario::Stress {
+                platforms: 2,
+                steps: 60,
+            },
+            None,
+        ),
+        (live_codec, None),
+    ];
+    for (scenario, fault_horizon) in cases {
+        for sink in [SinkSpec::Jsonl, SinkSpec::Binary] {
+            let factory = ScenarioFactory::new(scenario, 2_026)
+                .with_sink(sink)
+                .with_fault_horizon(fault_horizon);
+            let export = |out: &ShardOutcome| -> Vec<u8> {
+                let bytes = match sink {
+                    SinkSpec::Jsonl => out.jsonl.clone().map(String::into_bytes),
+                    _ => out.binary.clone(),
+                };
+                bytes.expect("export captured")
+            };
+            let fleet = run_fleet(&factory, &FleetConfig::new(2));
+            for (k, shard) in fleet.shards.iter().enumerate() {
+                let case = format!(
+                    "{} {sink:?} faults {fault_horizon:?} shard {k}",
+                    scenario.id()
+                );
+                let replay = factory.spec_for(k as u32).run();
+                assert!(!export(shard).is_empty(), "{case}: empty export");
+                assert!(export(&replay) == export(shard), "{case}: export diverged");
+                assert_eq!(&replay, shard, "{case}: outcome diverged");
+            }
+        }
+    }
+
+    let capture = || {
+        let (mut engine, _) = rispp::sim::fig6_engine();
+        let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
+        let binary = Rc::new(RefCell::new(BinarySink::new(Vec::new())));
+        engine.attach_sink(SinkHandle::shared(jsonl.clone()));
+        engine.attach_sink(SinkHandle::shared(binary.clone()));
+        engine.run(100_000);
+        drop(engine);
+        let jsonl = Rc::try_unwrap(jsonl).expect("engine released its sinks");
+        let binary = Rc::try_unwrap(binary).expect("engine released its sinks");
+        (
+            jsonl.into_inner().into_inner(),
+            binary.into_inner().into_inner(),
+        )
+    };
+    let (jsonl, binary) = capture();
+    assert!(!jsonl.is_empty() && !binary.is_empty());
+    assert!(capture() == (jsonl, binary), "fig6_engine export diverged");
 }
 
 #[test]
