@@ -7,7 +7,7 @@ use rispp::core::synthesis::{h264_data_paths, propose_atoms};
 use rispp::h264::si_library::{atom_set, build_library};
 use rispp::prelude::*;
 use rispp::sim::cpu::{Cpu, Instr};
-use rispp::sim::scenario::{fig6_engine, h264_fabric};
+use rispp::sim::scenario::h264_fabric;
 use rispp::sim::waveform::render_waveform;
 
 fn fib_program(n: i64) -> Vec<Instr> {
@@ -76,7 +76,7 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     group.bench_function("waveform/fig6", |b| {
-        let (mut engine, _) = fig6_engine();
+        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
         let end = engine.run(100_000);
         let trace = engine.timeline().clone();
         let atoms = atom_set();

@@ -153,11 +153,10 @@ impl FleetBenchResult {
             out.push_str(&format!("    \"fc_hit_rate\": {},\n", json_f64(rate)));
         }
         out.push_str(&format!(
-            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {},\n    \"dropped_events\": {}\n",
+            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {}\n",
             m.executions_total,
             json_f64(m.hw_fraction),
-            m.cycles_saved_vs_sw,
-            m.dropped_events
+            m.cycles_saved_vs_sw
         ));
         out.push_str("  },\n");
         out.push_str("  \"per_shard\": [\n");
@@ -235,11 +234,6 @@ impl FleetBenchResult {
             executions_total: u64_field(m, "executions_total")?,
             hw_fraction: f64_field(m, "hw_fraction")?,
             cycles_saved_vs_sw: u64_field(m, "cycles_saved_vs_sw")?,
-            // Absent in pre-PR-7 documents; read tolerantly.
-            dropped_events: m
-                .get("dropped_events")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
         };
         let per_shard = v
             .get("per_shard")

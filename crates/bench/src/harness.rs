@@ -25,18 +25,18 @@
 //! benchmark's traced run (`perfbench/`), which reconciles with its wall
 //! time.
 
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
-use rispp::obs::Record;
 use rispp::prelude::*;
 
 /// Version of the `BENCH_*.json` schema this build writes.
 ///
 /// Bump when a field changes meaning or disappears; readers refuse
 /// files from the future and treat missing optional fields as defaults.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+/// Version 2 dropped `sink_overhead_ns_per_event` and
+/// `metrics.dropped_events`, which version 1 files still carry and
+/// readers ignore.
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// The workloads the suite runs, in execution order.
 pub const WORKLOADS: [&str; 3] = ["fig06", "stress", "live_codec"];
@@ -100,22 +100,6 @@ impl HarnessConfig {
     }
 }
 
-/// Per-sink host cost of one event emission, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SinkOverhead {
-    /// A disabled [`SinkHandle`] — the one-branch path; the event is
-    /// never constructed.
-    pub null: f64,
-    /// [`CountersSink`] — aggregate statistics.
-    pub counters: f64,
-    /// [`TimelineSink`] — full ordered record.
-    pub timeline: f64,
-    /// [`JsonlSink`] — streaming text export.
-    pub jsonl: f64,
-    /// [`BinarySink`] — streaming binary transport.
-    pub binary: f64,
-}
-
 /// One workload's measured result — the content of a `BENCH_*.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadResult {
@@ -141,8 +125,6 @@ pub struct WorkloadResult {
     pub sim_cycles_per_sec: f64,
     /// Simulated-time summary of the instrumented repetition.
     pub metrics: MetricsSummary,
-    /// Per-sink emit cost measured over a canned record set.
-    pub sink_overhead_ns_per_event: SinkOverhead,
 }
 
 // ---------------------------------------------------------------------
@@ -182,81 +164,6 @@ fn run_once(workload: &str, config: &HarnessConfig, instrument: bool) -> RepOutc
         events: out.events,
         sim_cycles: out.sim_cycles,
         metrics: out.summary,
-    }
-}
-
-/// Repetitions (median taken) and batched iterations per repetition for
-/// the sink-overhead measurement. The fig06 record set is only ~1.6k
-/// events, so a single pass lasts tens of microseconds — far too short
-/// for a one-shot reading on a shared machine. Batching several passes
-/// per timing and taking a median across repetitions keeps the
-/// committed ns/event numbers reproducible.
-const SINK_OVERHEAD_REPS: usize = 5;
-const SINK_OVERHEAD_ITERS: u64 = 8;
-
-/// Median ns/event over [`SINK_OVERHEAD_REPS`] timings of
-/// [`SINK_OVERHEAD_ITERS`] record-set passes each. Sink state accumulates
-/// across passes, which is the steady-state regime the number describes.
-fn sink_ns_per_event(events: usize, mut routine: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..SINK_OVERHEAD_REPS)
-        .map(|_| {
-            criterion::measure(SINK_OVERHEAD_ITERS, &mut routine).as_nanos() as f64
-                / (SINK_OVERHEAD_ITERS as f64 * events as f64)
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[SINK_OVERHEAD_REPS / 2]
-}
-
-/// Measures per-sink emit cost over a canned fig06 record set.
-fn measure_sink_overhead() -> SinkOverhead {
-    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
-    engine.run(100_000);
-    let records: Vec<Record> = engine.timeline().entries().to_vec();
-    assert!(!records.is_empty(), "fig06 produces events");
-    let n = records.len();
-
-    // The disabled handle: one branch, event never constructed.
-    let null = SinkHandle::null();
-    let null_ns = sink_ns_per_event(n, || {
-        for r in &records {
-            null.emit_with(r.at, || r.event.clone());
-        }
-    });
-    let counters = Rc::new(RefCell::new(CountersSink::new()));
-    let h = SinkHandle::shared(counters);
-    let counters_ns = sink_ns_per_event(n, || {
-        for r in &records {
-            h.emit(r.at, &r.event);
-        }
-    });
-    let timeline = Rc::new(RefCell::new(TimelineSink::new()));
-    let h = SinkHandle::shared(timeline);
-    let timeline_ns = sink_ns_per_event(n, || {
-        for r in &records {
-            h.emit(r.at, &r.event);
-        }
-    });
-    let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    let h = SinkHandle::shared(jsonl);
-    let jsonl_ns = sink_ns_per_event(n, || {
-        for r in &records {
-            h.emit(r.at, &r.event);
-        }
-    });
-    let binary = Rc::new(RefCell::new(BinarySink::new(Vec::new())));
-    let h = SinkHandle::shared(binary);
-    let binary_ns = sink_ns_per_event(n, || {
-        for r in &records {
-            h.emit(r.at, &r.event);
-        }
-    });
-    SinkOverhead {
-        null: null_ns,
-        counters: counters_ns,
-        timeline: timeline_ns,
-        jsonl: jsonl_ns,
-        binary: binary_ns,
     }
 }
 
@@ -314,7 +221,6 @@ pub fn run_workload(workload: &str, config: &HarnessConfig) -> WorkloadResult {
             0.0
         },
         metrics: outcome.metrics,
-        sink_overhead_ns_per_event: measure_sink_overhead(),
     }
 }
 
@@ -395,22 +301,12 @@ impl WorkloadResult {
             out.push_str(&format!("    \"fc_hit_rate\": {},\n", json_f64(rate)));
         }
         out.push_str(&format!(
-            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {},\n    \"dropped_events\": {}\n",
+            "    \"executions_total\": {},\n    \"hw_fraction\": {},\n    \"cycles_saved_vs_sw\": {}\n",
             m.executions_total,
             json_f64(m.hw_fraction),
-            m.cycles_saved_vs_sw,
-            m.dropped_events
+            m.cycles_saved_vs_sw
         ));
-        out.push_str("  },\n");
-        let s = &self.sink_overhead_ns_per_event;
-        out.push_str(&format!(
-            "  \"sink_overhead_ns_per_event\": {{\"null\": {}, \"counters\": {}, \"timeline\": {}, \"jsonl\": {}, \"binary\": {}}}\n",
-            json_f64(s.null),
-            json_f64(s.counters),
-            json_f64(s.timeline),
-            json_f64(s.jsonl),
-            json_f64(s.binary)
-        ));
+        out.push_str("  }\n");
         out.push_str("}\n");
         out
     }
@@ -486,14 +382,7 @@ impl WorkloadResult {
                 .get("cycles_saved_vs_sw")
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0),
-            dropped_events: m
-                .get("dropped_events")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
         };
-        let so = v
-            .get("sink_overhead_ns_per_event")
-            .ok_or("missing sink_overhead_ns_per_event")?;
         Ok(WorkloadResult {
             workload: str_field("workload")?,
             mode: str_field("mode")?,
@@ -506,14 +395,6 @@ impl WorkloadResult {
             events_per_sec: f64_field(&v, "events_per_sec")?,
             sim_cycles_per_sec: f64_field(&v, "sim_cycles_per_sec")?,
             metrics,
-            sink_overhead_ns_per_event: SinkOverhead {
-                null: f64_field(so, "null")?,
-                counters: f64_field(so, "counters")?,
-                timeline: f64_field(so, "timeline")?,
-                jsonl: f64_field(so, "jsonl")?,
-                // Absent in pre-PR-7 documents; read tolerantly.
-                binary: f64_field(so, "binary").unwrap_or(0.0),
-            },
         })
     }
 }
@@ -879,13 +760,6 @@ mod tests {
                 hw_fraction: 0.75,
                 ..MetricsSummary::default()
             },
-            sink_overhead_ns_per_event: SinkOverhead {
-                null: 0.5,
-                counters: 20.0,
-                timeline: 60.0,
-                jsonl: 400.0,
-                binary: 30.0,
-            },
         }
     }
 
@@ -893,28 +767,46 @@ mod tests {
     fn bench_json_roundtrips() {
         let original = sample("fig06", 400_000);
         let text = original.to_json();
-        assert!(text.contains("\"schema_version\": 1"));
+        assert!(text.contains("\"schema_version\": 2"));
         let parsed = WorkloadResult::from_json(&text).expect("own output parses");
         assert_eq!(parsed, original);
     }
 
     #[test]
     fn pre_binary_sink_documents_still_parse() {
-        // `binary` joined the sink-overhead object in PR 7; older
-        // committed BENCH files must keep parsing (as 0.0).
-        let text = sample("fig06", 400_000)
+        // Version 1 documents carry `dropped_events` and a per-sink
+        // overhead object, the oldest without its `binary` entry. Both
+        // keys are retired and ignored.
+        let original = sample("fig06", 400_000);
+        let text = original
             .to_json()
-            .replace(", \"binary\": 30", "");
-        assert!(!text.contains("binary"), "field removal failed: {text}");
-        let parsed = WorkloadResult::from_json(&text).expect("old document parses");
-        assert_eq!(parsed.sink_overhead_ns_per_event.binary, 0.0);
+            .replace("\"schema_version\": 2", "\"schema_version\": 1")
+            .replace(
+                "\"cycles_saved_vs_sw\": 0\n",
+                "\"cycles_saved_vs_sw\": 0,\n    \"dropped_events\": 0\n",
+            )
+            .replace(
+                "  }\n}",
+                "  },\n  \"sink_overhead_ns_per_event\": {\"null\": 0.5, \"counters\": 20}\n}",
+            );
+        assert!(text.contains("\"dropped_events\"") && text.contains("\"null\""));
+        assert_eq!(WorkloadResult::from_json(&text), Ok(original));
+        // So do the committed version 1 baselines.
+        for workload in WORKLOADS {
+            let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(bench_file_name(workload));
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            let parsed = WorkloadResult::from_json(&text).expect("committed baseline parses");
+            assert_eq!(parsed.workload, workload);
+        }
     }
 
     #[test]
     fn future_bench_schema_is_refused() {
         let text = sample("fig06", 1)
             .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
+            .replace("\"schema_version\": 2", "\"schema_version\": 99");
         let err = WorkloadResult::from_json(&text).unwrap_err();
         assert!(err.contains("unsupported schema_version 99"), "{err}");
     }

@@ -274,11 +274,6 @@ pub fn render_markdown(analysis: &Analysis, config: &ReportConfig) -> String {
         "| cycles saved vs software | {} |",
         summary.cycles_saved_vs_sw
     );
-    let _ = writeln!(
-        out,
-        "| events dropped by capture | {} |",
-        summary.dropped_events
-    );
     let _ = writeln!(out);
 
     let _ = writeln!(out, "## Time-to-hardware spans");
@@ -388,33 +383,18 @@ pub fn render_markdown(analysis: &Analysis, config: &ReportConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rispp::obs::{JsonlSink, SinkHandle};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use rispp::sim::{Scenario, ShardSpec, SinkSpec};
 
     fn fig6_export() -> String {
-        let (mut engine, _) = rispp::sim::scenario::fig6_engine();
-        let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-        engine.attach_sink(SinkHandle::shared(export.clone()));
-        engine.run(100_000);
-        let bytes = export.borrow().writer().clone();
-        String::from_utf8(bytes).expect("JSONL is UTF-8")
+        let spec = ShardSpec::new(Scenario::Fig6, 0).with_sink(SinkSpec::Jsonl);
+        spec.run().jsonl.expect("JSONL captured")
     }
 
-    /// One engine run teed into both codecs (event order can differ
-    /// between separate runs, so a fair comparison needs one run).
+    /// The Fig. 6 run exported in both codecs (every run emits the same
+    /// events).
     fn fig6_both_exports() -> (String, Vec<u8>) {
-        let (mut engine, _) = rispp::sim::scenario::fig6_engine();
-        let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-        let binary = Rc::new(RefCell::new(rispp::obs::BinarySink::new(Vec::new())));
-        engine.attach_sink(SinkHandle::shared(jsonl.clone()));
-        engine.attach_sink(SinkHandle::shared(binary.clone()));
-        engine.run(100_000);
-        drop(engine); // release the engine's handles so we can unwrap the Rcs
-        let text = String::from_utf8(Rc::try_unwrap(jsonl).unwrap().into_inner().into_inner())
-            .expect("JSONL is UTF-8");
-        let bytes = Rc::try_unwrap(binary).unwrap().into_inner().into_inner();
-        (text, bytes)
+        let spec = ShardSpec::new(Scenario::Fig6, 0).with_sink(SinkSpec::Binary);
+        (fig6_export(), spec.run().binary.expect("binary captured"))
     }
 
     #[test]

@@ -313,7 +313,7 @@ impl LiveState {
             concat!(
                 "{{\"records\":{},\"last_at\":{},\"format\":{},\"error\":{},",
                 "\"reopens\":{},\"executions_total\":{},\"rotations_completed\":{},",
-                "\"hw_fraction\":{},\"fabric_occupancy\":{},\"dropped_events\":{}}}\n"
+                "\"hw_fraction\":{},\"fabric_occupancy\":{}}}\n"
             ),
             self.records,
             self.last_at,
@@ -324,7 +324,6 @@ impl LiveState {
             summary.rotations_completed,
             summary.hw_fraction,
             summary.fabric_occupancy,
-            summary.dropped_events,
         )
     }
 }
@@ -395,7 +394,6 @@ pub fn known_metrics() -> &'static [&'static str] {
         "hw_fraction",
         "sw_fallback_rate",
         "cycles_saved_vs_sw",
-        "dropped_events",
         "records",
         "reopens",
         "window_cycles",
@@ -431,7 +429,6 @@ fn metric_value(
         "hw_fraction" => summary.hw_fraction,
         "sw_fallback_rate" => 1.0 - summary.hw_fraction,
         "cycles_saved_vs_sw" => summary.cycles_saved_vs_sw as f64,
-        "dropped_events" => summary.dropped_events as f64,
         "records" => records as f64,
         "reopens" => reopens as f64,
         "window_cycles" => window.window_cycles as f64,
@@ -648,7 +645,7 @@ impl FleetState {
                 "{{\"shards\":{},\"records\":{},\"last_at\":{},\"format\":{},",
                 "\"error\":{},\"reopens\":{},\"executions_total\":{},",
                 "\"rotations_completed\":{},\"hw_fraction\":{},",
-                "\"fabric_occupancy\":{},\"dropped_events\":{}}}\n"
+                "\"fabric_occupancy\":{}}}\n"
             ),
             self.shards.len(),
             records,
@@ -660,7 +657,6 @@ impl FleetState {
             summary.rotations_completed,
             summary.hw_fraction,
             summary.fabric_occupancy,
-            summary.dropped_events,
         )
     }
 
@@ -1149,10 +1145,9 @@ pub fn run_check(opts: &ServeOptions) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rispp::obs::{BinarySink, JsonlSink, SinkHandle, TimelineSink};
-    use std::cell::RefCell;
+    use rispp::obs::TimelineSink;
+    use rispp::sim::{Scenario, ShardSpec, SinkSpec};
     use std::io::BufReader;
-    use std::rc::Rc;
     use std::sync::atomic::AtomicU64;
 
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -1164,20 +1159,15 @@ mod tests {
     }
 
     fn fig6_export(binary: bool) -> Vec<u8> {
-        let (mut engine, _) = rispp::sim::scenario::fig6_engine();
-        if binary {
-            let sink = Rc::new(RefCell::new(BinarySink::new(Vec::new())));
-            engine.attach_sink(SinkHandle::shared(sink.clone()));
-            engine.run(100_000);
-            drop(engine);
-            Rc::try_unwrap(sink).unwrap().into_inner().into_inner()
+        let sink = if binary {
+            SinkSpec::Binary
         } else {
-            let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-            engine.attach_sink(SinkHandle::shared(sink.clone()));
-            engine.run(100_000);
-            let bytes = sink.borrow().writer().clone();
-            bytes
-        }
+            SinkSpec::Jsonl
+        };
+        let out = ShardSpec::new(Scenario::Fig6, 0).with_sink(sink).run();
+        out.binary
+            .or(out.jsonl.map(String::into_bytes))
+            .expect("export captured")
     }
 
     fn offline_record_count(bytes: &[u8]) -> u64 {
@@ -1426,12 +1416,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(load_alert_rules(&path).unwrap().statuses().len(), 1);
-        // The selection-cache counters went with the cache.
+        // The selection-cache counters went with the cache, and the
+        // dropped-events count, which nothing fed, went too.
         for metric in [
             "bogus",
             "selection_cache_hits",
             "selection_cache_misses",
             "selection_cache_invalidations",
+            "dropped_events",
         ] {
             std::fs::write(
                 &path,

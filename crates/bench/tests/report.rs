@@ -10,13 +10,12 @@ use rispp::fabric::catalog::{table1_profiles, AtomCatalog};
 use rispp::fabric::ContainerId;
 use rispp::obs::{Event, EventSink, MetricsSink, SinkHandle, Timeline};
 use rispp::prelude::*;
-use rispp::sim::scenario::fig6_engine;
 use rispp_bench::report::{analyze, render_markdown, ReportConfig};
 
 /// Runs the Fig. 6 scenario with a JSONL export attached and returns the
 /// export text plus the live timeline.
 fn fig6_with_export() -> (String, Timeline) {
-    let (mut engine, _) = fig6_engine();
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     engine.attach_sink(SinkHandle::shared(export.clone()));
     engine.run(100_000);

@@ -23,9 +23,11 @@
 //! * [`SpanBuilder`] — derived causality spans: stitches
 //!   `ForecastUpdated → Reselect → rotations → first hardware execution`
 //!   into per-`(task, si)` time-to-hardware stories (Fig. 6 as data).
-//! * [`MetricsSink`] — time-weighted gauges: container occupancy, logic
-//!   utilization, rotation-bus busyness, forecast precision/recall,
-//!   cycles saved vs software; with a Prometheus-style text exposition.
+//! * [`MetricsSink`] — a run's numbers: the event count, the all-SI
+//!   latency histogram and time-weighted gauges (container occupancy,
+//!   logic utilization, rotation-bus busyness, forecast
+//!   precision/recall, cycles saved vs software); with a
+//!   Prometheus-style text exposition.
 //! * [`WindowSink`] — sliding-window rates and latency quantiles over
 //!   the event stream, keyed by simulated time so replays are
 //!   deterministic.

@@ -1,13 +1,13 @@
 //! Time-weighted gauges and derived series over the event stream.
 //!
-//! Counters ([`CountersSink`](crate::CountersSink)) answer *how often*;
-//! the [`MetricsSink`] answers *how much of the time* — the quantities
-//! the paper argues with: Atom-Container occupancy (Table 1's
-//! utilisation column, integrated over a run instead of a synthesis
-//! report), rotation-bus busyness (one SelectMap port serialises every
-//! rotation), forecast accuracy (how well FC instructions predicted the
-//! SIs that actually executed), and cycles saved versus pure-software
-//! execution.
+//! The [`MetricsSink`] is the one fold from events to a run's numbers.
+//! Beside the event count and the all-SI latency histogram it answers
+//! *how much of the time* — the quantities the paper argues with:
+//! Atom-Container occupancy (Table 1's utilisation column, integrated
+//! over a run instead of a synthesis report), rotation-bus busyness (one
+//! SelectMap port serialises every rotation), forecast accuracy (how
+//! well FC instructions predicted the SIs that actually executed), and
+//! cycles saved versus pure-software execution.
 //!
 //! All gauges are integrated lazily up to the largest timestamp seen, so
 //! querying is idempotent. Forecast *windows* (one per
@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use rispp_core::atom::AtomKind;
 use rispp_core::si::SiId;
 
+use crate::counters::LatencyHistogram;
 use crate::event::{Event, TaskId};
 use crate::sink::EventSink;
 
@@ -103,11 +104,6 @@ pub struct MetricsSummary {
     /// Cycles saved by hardware executions versus the observed software
     /// baseline.
     pub cycles_saved_vs_sw: u64,
-    /// Events a bounded timeline capture in the same pipeline dropped
-    /// (see [`TimelineSink::dropped_events`](crate::TimelineSink::dropped_events)
-    /// and [`MetricsSink::note_dropped_events`]). Nonzero means any
-    /// captured timeline is a truncated tail, not the complete run.
-    pub dropped_events: u64,
 }
 
 impl MetricsSummary {
@@ -193,7 +189,6 @@ impl MetricsSummary {
         self.cycles_saved_vs_sw = self
             .cycles_saved_vs_sw
             .saturating_add(other.cycles_saved_vs_sw);
-        self.dropped_events += other.dropped_events;
     }
 
     /// [`MetricsSummary::merge`], by value — convenient in folds.
@@ -271,12 +266,6 @@ impl MetricsSummary {
                 "Cycles saved by hardware executions vs the observed software baseline.",
                 self.cycles_saved_vs_sw as f64,
             ),
-            (
-                "rispp_timeline_dropped_events_total",
-                "counter",
-                "Events dropped by a bounded timeline capture (nonzero = truncated capture).",
-                self.dropped_events as f64,
-            ),
         ];
         // Absent (not zero) when the run monitored no FC outcomes.
         if let Some(rate) = self.fc_hit_rate {
@@ -341,11 +330,8 @@ pub struct MetricsSink {
     by_pair: BTreeMap<(TaskId, usize), ForecastStats>,
     windows_total: u64,
     windows_hit: u64,
-    executions_total: u64,
     executions_forecast: u64,
     hw_executions: u64,
-    hw_cycles: u64,
-    sw_cycles: u64,
     fc_outcomes: u64,
     fc_outcomes_reached: u64,
     /// Most recent software latency observed per SI — the baseline for
@@ -354,10 +340,11 @@ pub struct MetricsSink {
     /// accrue once the SI has executed in software at least once.
     sw_baseline: BTreeMap<usize, u64>,
     cycles_saved: u64,
-    /// Events a bounded capture elsewhere in the pipeline dropped; fed
-    /// in via [`MetricsSink::note_dropped_events`], not the event
-    /// stream (the sink itself never drops).
-    dropped_events: u64,
+    /// Events observed, of every kind.
+    events: u64,
+    /// Latency of every SI execution, across all SIs; its count is the
+    /// number of executions.
+    latency: LatencyHistogram,
 }
 
 impl MetricsSink {
@@ -541,7 +528,7 @@ impl MetricsSink {
     /// did executions come announced?
     #[must_use]
     pub fn forecast_recall(&self) -> f64 {
-        ratio(self.executions_forecast, self.executions_total)
+        ratio(self.executions_forecast, self.latency.count())
     }
 
     /// Fraction of monitored [`Event::FcOutcome`]s that were reached.
@@ -567,7 +554,7 @@ impl MetricsSink {
     /// Executions observed (total, hardware).
     #[must_use]
     pub fn executions(&self) -> (u64, u64) {
-        (self.executions_total, self.hw_executions)
+        (self.latency.count(), self.hw_executions)
     }
 
     /// A compact cross-section of every gauge.
@@ -583,26 +570,22 @@ impl MetricsSink {
             forecast_precision: self.forecast_precision(),
             forecast_recall: self.forecast_recall(),
             fc_hit_rate: (self.fc_outcomes > 0).then(|| self.fc_hit_rate()),
-            executions_total: self.executions_total,
-            hw_fraction: ratio(self.hw_executions, self.executions_total),
+            executions_total: self.latency.count(),
+            hw_fraction: ratio(self.hw_executions, self.latency.count()),
             cycles_saved_vs_sw: self.cycles_saved,
-            dropped_events: self.dropped_events,
         }
     }
 
-    /// Registers events a bounded capture (e.g. a
-    /// [`TimelineSink::with_capacity`](crate::TimelineSink::with_capacity)
-    /// tail) dropped, so the summary and the Prometheus exposition flag
-    /// the truncation instead of letting a partial capture pass as
-    /// complete. Additive across calls.
-    pub fn note_dropped_events(&mut self, n: u64) {
-        self.dropped_events += n;
+    /// Events observed, of every kind.
+    #[must_use]
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
-    /// Dropped events registered so far.
+    /// Latency of every SI execution observed, across all SIs.
     #[must_use]
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
+    pub fn latency(&self) -> &LatencyHistogram {
+        &self.latency
     }
 
     /// Does nothing: the selection cache whose flushes this registered
@@ -671,7 +654,7 @@ impl MetricsSink {
         counter(
             "rispp_executions_total",
             "SI executions observed.",
-            self.executions_total,
+            self.latency.count(),
         );
         counter(
             "rispp_hw_executions_total",
@@ -682,11 +665,6 @@ impl MetricsSink {
             "rispp_cycles_saved_vs_sw_total",
             "Cycles saved by hardware executions vs the observed software baseline.",
             self.cycles_saved,
-        );
-        counter(
-            "rispp_timeline_dropped_events_total",
-            "Events dropped by a bounded timeline capture (nonzero = truncated capture).",
-            self.dropped_events,
         );
         let _ = writeln!(
             out,
@@ -707,6 +685,7 @@ impl MetricsSink {
 impl EventSink for MetricsSink {
     fn emit(&mut self, at: u64, event: &Event) {
         self.now = self.now.max(at);
+        self.events += 1;
         match event {
             Event::RotationStarted { .. } => {
                 self.rotations_started += 1;
@@ -749,7 +728,7 @@ impl EventSink for MetricsSink {
                 cycles,
                 ..
             } => {
-                self.executions_total += 1;
+                self.latency.record(*cycles);
                 let stats = self.by_pair.entry((*task, si.index())).or_default();
                 stats.executions_total += 1;
                 let forecast = self
@@ -763,12 +742,10 @@ impl EventSink for MetricsSink {
                 }
                 if *hw {
                     self.hw_executions += 1;
-                    self.hw_cycles += cycles;
                     if let Some(&baseline) = self.sw_baseline.get(&si.index()) {
                         self.cycles_saved += baseline.saturating_sub(*cycles);
                     }
                 } else {
-                    self.sw_cycles += cycles;
                     self.sw_baseline.insert(si.index(), *cycles);
                 }
             }
@@ -1144,29 +1121,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_events_surface_in_summary_and_prometheus() {
-        let mut m = MetricsSink::new();
-        assert_eq!(m.dropped_events(), 0);
-        m.note_dropped_events(3);
-        m.note_dropped_events(4);
-        assert_eq!(m.dropped_events(), 7);
-        assert_eq!(m.summary().dropped_events, 7);
-        let text = m.render_prometheus();
-        assert!(text.contains("# TYPE rispp_timeline_dropped_events_total counter"));
-        assert!(text.contains("rispp_timeline_dropped_events_total 7"));
-        // Fleet merges add drop counts like any other counter.
-        let mut a = MetricsSummary {
-            dropped_events: 7,
-            ..MetricsSummary::default()
-        };
-        a.merge(&MetricsSummary {
-            dropped_events: 5,
-            ..MetricsSummary::default()
-        });
-        assert_eq!(a.dropped_events, 12);
-    }
-
-    #[test]
     fn summary_is_a_cross_section() {
         let mut m = MetricsSink::new().with_containers(1);
         m.emit(
@@ -1185,5 +1139,50 @@ mod tests {
         assert_eq!(s.executions_total, 1);
         assert!((s.hw_fraction - 1.0).abs() < 1e-12);
         assert_eq!(s.cycles_saved_vs_sw, 0);
+    }
+
+    #[test]
+    fn counts_every_event_and_every_execution_latency() {
+        let exec = |si, hw, cycles| Event::SiExecuted {
+            task: 0,
+            si: SiId(si),
+            hw,
+            cycles,
+            molecule: None,
+        };
+        let stream = [
+            (
+                0,
+                Event::RotationStarted {
+                    container: 0,
+                    kind: AtomKind(0),
+                },
+            ),
+            (5, exec(0, false, 500)),
+            (40, exec(0, true, 20)),
+            (45, exec(1, true, 9)),
+            (
+                50,
+                Event::ForecastRetracted {
+                    task: 0,
+                    si: SiId(0),
+                },
+            ),
+        ];
+        let mut m = MetricsSink::new();
+        assert_eq!((m.events(), m.latency().count()), (0, 0));
+        for (at, e) in &stream {
+            m.emit(*at, e);
+        }
+        // By hand: five events, three of them executions of 500, 20 and
+        // 9 cycles, recorded whatever their SI.
+        assert_eq!(m.events(), 5);
+        let mut hand = LatencyHistogram::default();
+        for cycles in [500, 20, 9] {
+            hand.record(cycles);
+        }
+        assert_eq!(*m.latency(), hand);
+        assert_eq!(m.latency().sum_cycles(), 529);
+        assert_eq!((m.latency().min(), m.latency().max()), (Some(9), Some(500)));
     }
 }

@@ -24,19 +24,16 @@
 //! must equal the fault-free run's, and the Fig. 6 scenario must execute
 //! exactly the same SI stream.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 use rispp_core::atom::AtomKind;
 use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::FaultPlan;
-use rispp_h264::encoder::EncoderConfig;
-use rispp_obs::{Event, EventSink, SinkHandle, SpanBuilder, Timeline, TimelineSink};
+use rispp_obs::{Event, EventSink, SinkHandle, SpanBuilder, Timeline};
 
-use crate::codec_runner::{run_encoder_on_rispp_with_faults, CodecRunOutcome};
-use crate::spec::{Scenario, ShardSpec};
+use crate::codec_runner::CodecRunOutcome;
+use crate::spec::{Scenario, ShardSpec, SinkSpec};
 
 /// The audit result of one chaos run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,27 +343,28 @@ pub struct CodecChaosOutcome {
 /// fault is allowed to cost cycles, never output quality.
 #[must_use]
 pub fn run_codec_chaos(plan: &FaultPlan, frames: usize, seed: u64) -> CodecChaosOutcome {
-    let config = EncoderConfig::default();
-    let baseline = run_encoder_on_rispp_with_faults(32, 32, frames, 6, &config, seed, None, None);
-    let sink = Rc::new(RefCell::new(TimelineSink::new()));
-    let faulty = run_encoder_on_rispp_with_faults(
-        32,
-        32,
+    let scenario = Scenario::LiveCodec {
+        width: 32,
+        height: 32,
         frames,
-        6,
-        &config,
-        seed,
-        Some(plan),
-        Some(SinkHandle::shared(sink.clone())),
-    );
+        containers: 6,
+    };
+    let spec = ShardSpec::new(scenario, seed);
+    let baseline = spec
+        .clone()
+        .with_sink(SinkSpec::Null)
+        .run()
+        .codec
+        .expect("a live-codec outcome");
+    let run = spec
+        .with_faults(plan.clone())
+        .with_sink(SinkSpec::Timeline)
+        .run();
+    let faulty = run.codec.expect("a live-codec outcome");
+    let timeline = run.timeline.expect("the timeline was captured");
     let (lib, _) = rispp_h264::si_library::build_library();
-    let mut report = ChaosReport::from_timeline(
-        "codec",
-        plan,
-        sink.borrow().timeline(),
-        &lib,
-        faulty.total_cycles,
-    );
+    let mut report =
+        ChaosReport::from_timeline("codec", plan, &timeline, &lib, faulty.total_cycles);
     if faulty.total_bits != baseline.total_bits {
         report.violations.push(format!(
             "encoded bits diverged under faults: {} vs {}",

@@ -10,7 +10,6 @@
 //! bitrate together.
 
 use rispp_core::forecast::ForecastValue;
-use rispp_fabric::FaultPlan;
 use rispp_h264::block::Plane;
 use rispp_h264::encoder::{
     encode_macroblock_into, EncoderConfig, SiInvocationCounts, HW_DISPATCH_OVERHEAD,
@@ -23,6 +22,7 @@ use rispp_obs::SinkHandle;
 use rispp_rt::manager::RisppManager;
 
 use crate::scenario::h264_fabric;
+use crate::spec::{Scenario, ShardSpec};
 
 /// Outcome of a live encoder run.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,33 +43,14 @@ pub struct CodecRunOutcome {
     pub rotations: u64,
 }
 
-/// Encodes `frames` synthetic frames of `width`×`height` on a RISPP
-/// platform with `containers` Atom Containers, dispatching every SI
-/// through the manager.
+/// Runs a [`Scenario::LiveCodec`] spec: encodes `frames` synthetic
+/// frames of `width`×`height` on a RISPP platform with `containers` Atom
+/// Containers and the spec's fault plan and power mode, dispatching
+/// every SI through the manager, whose events go to `sink`.
 ///
 /// Per frame, one FC Block announces the four transform SIs with their
 /// exact per-frame execution counts (the compile-time pass knows the
 /// Fig. 7 flow statically, so its forecasts are precise here).
-///
-/// # Panics
-///
-/// Panics if `frames == 0` or the dimensions are not multiples of 16.
-#[must_use]
-pub fn run_encoder_on_rispp(
-    width: usize,
-    height: usize,
-    frames: usize,
-    containers: usize,
-    config: &EncoderConfig,
-    seed: u64,
-) -> CodecRunOutcome {
-    run_encoder_on_rispp_with_faults(width, height, frames, containers, config, seed, None, None)
-}
-
-/// [`run_encoder_on_rispp`] under an optional deterministic
-/// [`FaultPlan`], with an optional structured-event sink teed into the
-/// manager (so a chaos harness can capture the run's timeline or export
-/// it as JSONL).
 ///
 /// The pixel pipeline is pure `rispp-h264` code: whatever the fault plan
 /// does to the fabric, the encoded bits and PSNR must be *identical* to
@@ -77,65 +58,27 @@ pub fn run_encoder_on_rispp(
 ///
 /// # Panics
 ///
-/// Panics if `frames == 0` or the dimensions are not multiples of 16.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_encoder_on_rispp_with_faults(
-    width: usize,
-    height: usize,
-    frames: usize,
-    containers: usize,
-    config: &EncoderConfig,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-    sink: Option<SinkHandle>,
-) -> CodecRunOutcome {
-    run_encoder_on_rispp_configured(
+/// Panics if the spec is not a live-codec one, `frames == 0` or the
+/// dimensions are not multiples of 16.
+pub(crate) fn run_live_encoder(spec: &ShardSpec, sink: SinkHandle) -> CodecRunOutcome {
+    let Scenario::LiveCodec {
         width,
         height,
         frames,
         containers,
-        config,
-        seed,
-        faults,
-        sink,
-        rispp_rt::selection::PowerMode::default(),
-    )
-}
-
-/// The fully-parameterised encoder runner — fault plan, sink and power
-/// mode — which every narrower entry point above delegates to, and which
-/// [`ShardSpec`](crate::spec::ShardSpec) builds the live-codec scenario
-/// through.
-///
-/// # Panics
-///
-/// Panics if `frames == 0` or the dimensions are not multiples of 16.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_encoder_on_rispp_configured(
-    width: usize,
-    height: usize,
-    frames: usize,
-    containers: usize,
-    config: &EncoderConfig,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-    sink: Option<SinkHandle>,
-    power_mode: rispp_rt::selection::PowerMode,
-) -> CodecRunOutcome {
+    } = spec.scenario
+    else {
+        panic!("run_live_encoder needs a LiveCodec spec");
+    };
     assert!(frames > 0, "need at least one frame");
     let (lib, sis) = build_library();
-    let mut fabric = h264_fabric(containers);
-    if let Some(plan) = faults {
-        fabric = fabric.with_faults(plan.clone());
-    }
-    let mut builder = RisppManager::builder(lib, fabric).power_mode(power_mode);
-    if let Some(sink) = sink {
-        builder = builder.sink(sink);
-    }
-    let mut mgr = builder.build();
-    let mut video = SyntheticVideo::new(width, height, seed);
+    let fabric = h264_fabric(containers).with_faults(spec.faults.clone());
+    let mut mgr = RisppManager::builder(lib, fabric)
+        .power_mode(spec.power_mode)
+        .sink(sink)
+        .build();
+    let config = EncoderConfig::default();
+    let mut video = SyntheticVideo::new(width, height, spec.seed);
     let mut reference = video.next_frame();
     let mbs = (width / 16) * (height / 16);
 
@@ -162,7 +105,7 @@ pub fn run_encoder_on_rispp_configured(
                     &mut recon,
                     mx,
                     my,
-                    config,
+                    &config,
                 );
                 sse += r.luma_sse;
                 total_bits += r.bits;
@@ -232,12 +175,26 @@ fn forecast_values(sis: &H264Sis, per_mb: &SiInvocationCounts, mbs: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SinkSpec;
     use rispp_h264::encoder::macroblock_cycles;
-    use rispp_h264::si_library::build_library;
+
+    fn encode(frames: usize, containers: usize, seed: u64) -> CodecRunOutcome {
+        let scenario = Scenario::LiveCodec {
+            width: 32,
+            height: 32,
+            frames,
+            containers,
+        };
+        ShardSpec::new(scenario, seed)
+            .with_sink(SinkSpec::Null)
+            .run()
+            .codec
+            .expect("a live-codec outcome")
+    }
 
     #[test]
     fn live_run_reaches_hardware_quickly() {
-        let out = run_encoder_on_rispp(32, 32, 3, 6, &EncoderConfig::default(), 42);
+        let out = encode(3, 6, 42);
         assert_eq!(out.frames, 3);
         // 4 MBs × 283 SIs × 3 frames.
         assert_eq!(out.si_invocations, 4 * 283 * 3);
@@ -251,8 +208,8 @@ mod tests {
     fn settled_live_run_matches_the_fig12_model() {
         // After the first frame the fabric is settled; the marginal cost
         // of one more frame must match the closed-form Fig. 12 model.
-        let short = run_encoder_on_rispp(32, 32, 4, 6, &EncoderConfig::default(), 42);
-        let long = run_encoder_on_rispp(32, 32, 5, 6, &EncoderConfig::default(), 42);
+        let short = encode(4, 6, 42);
+        let long = encode(5, 6, 42);
         let marginal = (long.total_cycles - short.total_cycles) as f64;
         let (lib, sis) = build_library();
         let demands = [
@@ -271,8 +228,8 @@ mod tests {
 
     #[test]
     fn fewer_containers_cost_cycles_not_quality() {
-        let small = run_encoder_on_rispp(32, 32, 6, 0, &EncoderConfig::default(), 9);
-        let large = run_encoder_on_rispp(32, 32, 6, 6, &EncoderConfig::default(), 9);
+        let small = encode(6, 0, 9);
+        let large = encode(6, 6, 9);
         // Same pixels → same quality and bits, regardless of hardware.
         assert_eq!(small.total_bits, large.total_bits);
         assert!((small.mean_psnr - large.mean_psnr).abs() < 1e-9);

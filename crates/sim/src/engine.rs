@@ -92,8 +92,8 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
     }
 
     /// Tees one more consumer into the event stream (e.g. a
-    /// [`JsonlSink`](rispp_obs::JsonlSink) exporting the run, or a
-    /// [`CountersSink`](rispp_obs::CountersSink) aggregating statistics).
+    /// [`JsonlSink`](rispp_obs::JsonlSink) or a
+    /// [`BinarySink`](rispp_obs::BinarySink) exporting the run).
     pub fn attach_sink(&mut self, sink: SinkHandle) {
         self.manager.tee_sink(sink);
     }

@@ -43,10 +43,7 @@ pub use chaos::{
     check_invariants, run_codec_chaos, run_fig6_chaos, ChaosReport, CodecChaosOutcome,
     Fig6ChaosOutcome,
 };
-pub use codec_runner::{
-    run_encoder_on_rispp, run_encoder_on_rispp_configured, run_encoder_on_rispp_with_faults,
-    CodecRunOutcome,
-};
+pub use codec_runner::CodecRunOutcome;
 pub use codegen::{generate_trace_program, lower_block};
 pub use cpu::{Cpu, Instr, RunSummary, StopReason};
 pub use engine::Engine;
@@ -54,10 +51,10 @@ pub use fleet::{
     derive_shard_seed, run_fleet, FleetAggregate, FleetConfig, FleetOutcome, ScenarioFactory,
 };
 pub use multimode::{run_multimode, MultiModeOutcome, PhaseSpec};
-pub use scenario::{
-    fig6_engine, fig6_engine_configured, fig6_engine_with_faults, h264_fabric, run_fig6, Fig6Report,
+pub use scenario::{h264_fabric, run_fig6, Fig6Report};
+pub use spec::{
+    random_platform, Scenario, ShardOutcome, ShardSpec, SinkSet, SinkSpec, StressTotals,
 };
-pub use spec::{random_platform, Scenario, ShardOutcome, ShardSpec, SinkSpec, StressTotals};
 pub use task::{Op, ProgramCursor, Task};
 pub use waveform::{container_timelines, render_waveform, ContainerTimeline, Occupancy};
 // Event types live in `rispp-obs` now; re-exported so simulator users can

@@ -22,11 +22,9 @@
 use rispp_core::forecast::ForecastValue;
 use rispp_fabric::catalog::{table1_profiles, AtomCatalog};
 use rispp_fabric::fabric::Fabric;
-use rispp_h264::si_library::{atom_set, build_library, H264Sis};
-use rispp_rt::manager::RisppManager;
-use rispp_rt::policy::LruSurplusPolicy;
+use rispp_h264::si_library::{atom_set, H264Sis};
 
-use crate::engine::Engine;
+use crate::spec::{Scenario, ShardSpec};
 use crate::task::{Op, Task};
 
 /// Builds a fabric over the H.264 Atom set with Table 1 hardware profiles
@@ -52,82 +50,54 @@ pub fn h264_fabric(containers: usize) -> Fabric {
     Fabric::new(atoms, AtomCatalog::new(profiles), containers)
 }
 
-/// Builds the Fig. 6 engine: six Atom Containers, Task A (video codec,
-/// SATD_4x4) and Task B (SI0 = SAD_4x4, SI1 = DCT_4x4).
-#[must_use]
-pub fn fig6_engine() -> (Engine<LruSurplusPolicy>, H264Sis) {
-    fig6_engine_with_faults(&rispp_fabric::FaultPlan::none())
-}
-
-/// [`fig6_engine`] with a deterministic [`FaultPlan`](rispp_fabric::FaultPlan)
-/// installed on the fabric — the chaos harness's entry point into the
-/// paper's scenario.
-#[must_use]
-pub fn fig6_engine_with_faults(
-    faults: &rispp_fabric::FaultPlan,
-) -> (Engine<LruSurplusPolicy>, H264Sis) {
-    fig6_engine_configured(faults, rispp_rt::selection::PowerMode::default())
-}
-
-/// The fully-parameterised Fig. 6 constructor — fault plan and power
-/// mode — which every narrower entry point above delegates to, and which
-/// [`ShardSpec::build_fig6`](crate::spec::ShardSpec::build_fig6)
-/// exposes as part of the unified construction API.
-#[must_use]
-pub fn fig6_engine_configured(
-    faults: &rispp_fabric::FaultPlan,
-    power_mode: rispp_rt::selection::PowerMode,
-) -> (Engine<LruSurplusPolicy>, H264Sis) {
-    let (lib, sis) = build_library();
-    let fabric = h264_fabric(6).with_faults(faults.clone());
-    let manager = RisppManager::builder(lib, fabric)
-        .power_mode(power_mode)
-        .build();
-    let mut engine = Engine::new(manager);
-
-    // Task A: the codec loop — forecast SATD once, then execute it
-    // continuously. The moderate expected-execution count keeps A's demand
-    // below B's SI1 burst, so the T1 re-allocation really evicts A's Atoms
-    // (the figure's premise: SI1 is "more important").
-    engine.add_task(Task::new(
-        0,
-        "video-codec",
-        vec![
-            Op::Forecast(ForecastValue::new(sis.satd_4x4, 1.0, 300_000.0, 40.0)),
-            Op::Repeat {
-                body: vec![Op::ExecSi(sis.satd_4x4), Op::Plain(2_000)],
-                times: 1_500,
-            },
-        ],
-    ));
-
-    // Task B: SI0 phase (long enough for the initial six rotations to
-    // finish → T0 steady state) → SI1 burst → SI1 retired.
-    engine.add_task(Task::new(
-        1,
-        "task-b",
-        vec![
-            Op::Forecast(ForecastValue::new(sis.sad_4x4, 1.0, 300_000.0, 10.0)),
-            Op::Repeat {
-                body: vec![Op::ExecSi(sis.sad_4x4), Op::Plain(30_000)],
-                times: 25,
-            },
-            // T1: the more important SI1 is forecasted.
-            Op::Forecast(ForecastValue::new(sis.dct_4x4, 1.0, 300_000.0, 5_000.0)),
-            Op::Repeat {
-                body: vec![Op::ExecSi(sis.dct_4x4), Op::Plain(30_000)],
-                times: 20,
-            },
-            // T2: SI1 is no longer needed.
-            Op::RetractForecast(sis.dct_4x4),
-            // T3: SI0 keeps executing on whatever Atoms remain loaded.
-            Op::Repeat {
-                body: vec![Op::ExecSi(sis.sad_4x4), Op::Plain(30_000)],
-                times: 10,
-            },
-        ],
-    ));
-    (engine, sis)
+/// The Fig. 6 tasks: Task A (video codec, SATD_4x4) and Task B (SI0 =
+/// SAD_4x4, SI1 = DCT_4x4). [`ShardSpec::build_fig6`] runs them on six
+/// Atom Containers.
+pub(crate) fn fig6_tasks(sis: &H264Sis) -> [Task; 2] {
+    [
+        // Task A: the codec loop — forecast SATD once, then execute it
+        // continuously. The moderate expected-execution count keeps A's
+        // demand below B's SI1 burst, so the T1 re-allocation really
+        // evicts A's Atoms (the figure's premise: SI1 is "more
+        // important").
+        Task::new(
+            0,
+            "video-codec",
+            vec![
+                Op::Forecast(ForecastValue::new(sis.satd_4x4, 1.0, 300_000.0, 40.0)),
+                Op::Repeat {
+                    body: vec![Op::ExecSi(sis.satd_4x4), Op::Plain(2_000)],
+                    times: 1_500,
+                },
+            ],
+        ),
+        // Task B: SI0 phase (long enough for the initial six rotations to
+        // finish → T0 steady state) → SI1 burst → SI1 retired.
+        Task::new(
+            1,
+            "task-b",
+            vec![
+                Op::Forecast(ForecastValue::new(sis.sad_4x4, 1.0, 300_000.0, 10.0)),
+                Op::Repeat {
+                    body: vec![Op::ExecSi(sis.sad_4x4), Op::Plain(30_000)],
+                    times: 25,
+                },
+                // T1: the more important SI1 is forecasted.
+                Op::Forecast(ForecastValue::new(sis.dct_4x4, 1.0, 300_000.0, 5_000.0)),
+                Op::Repeat {
+                    body: vec![Op::ExecSi(sis.dct_4x4), Op::Plain(30_000)],
+                    times: 20,
+                },
+                // T2: SI1 is no longer needed.
+                Op::RetractForecast(sis.dct_4x4),
+                // T3: SI0 keeps executing on whatever Atoms remain loaded.
+                Op::Repeat {
+                    body: vec![Op::ExecSi(sis.sad_4x4), Op::Plain(30_000)],
+                    times: 10,
+                },
+            ],
+        ),
+    ]
 }
 
 /// Summary of a Fig. 6 run, extracted from the event timeline.
@@ -157,7 +127,7 @@ pub struct Fig6Report {
 /// Runs the scenario and distils the report.
 #[must_use]
 pub fn run_fig6() -> Fig6Report {
-    let (mut engine, sis) = fig6_engine();
+    let (mut engine, sis) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let end = engine.run(100_000);
     let trace = engine.timeline();
     let t1 = trace

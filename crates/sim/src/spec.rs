@@ -11,6 +11,10 @@
 //! bit-exactly standalone. Everything an outcome carries is owned data
 //! (summaries, histograms, timelines, JSONL text), so outcomes can cross
 //! threads even though the live [`Engine`] cannot.
+//!
+//! [`ShardSpec`] is also the one place that decides which sinks a run
+//! feeds: [`ShardSpec::sink_set`] builds them, so every event reaches
+//! one [`MetricsSink`], which counts it, and at most one capture.
 
 use std::cell::RefCell;
 use std::fs::File;
@@ -27,19 +31,18 @@ use rispp_core::si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
 use rispp_fabric::fabric::Fabric;
 use rispp_fabric::FaultPlan;
-use rispp_h264::encoder::EncoderConfig;
-use rispp_h264::si_library::H264Sis;
+use rispp_h264::si_library::{build_library, H264Sis};
 use rispp_obs::{
-    BinarySink, CountersSink, Event, EventSink, JsonlSink, LatencyHistogram, MetricsSink,
-    MetricsSummary, SinkHandle, Timeline, TimelineSink,
+    BinarySink, CountersSink, JsonlSink, LatencyHistogram, MetricsSink, MetricsSummary, SinkHandle,
+    Timeline, TimelineSink,
 };
 use rispp_rt::manager::RisppManager;
 use rispp_rt::policy::LruSurplusPolicy;
 use rispp_rt::selection::PowerMode;
 
-use crate::codec_runner::{run_encoder_on_rispp_configured, CodecRunOutcome};
+use crate::codec_runner::{run_live_encoder, CodecRunOutcome};
 use crate::engine::Engine;
-use crate::scenario::fig6_engine_configured;
+use crate::scenario::{fig6_tasks, h264_fabric};
 
 /// Which reference workload a shard runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,13 +138,13 @@ impl Scenario {
 /// Which observability rides along with a shard run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SinkSpec {
-    /// No extra sinks — the fastest setting, for timed benchmark reps.
-    /// The outcome carries only event/cycle totals (zero for scenarios
-    /// whose events are counted by an attached sink).
+    /// No sinks — the fastest setting, for timed benchmark reps. The
+    /// outcome carries the simulated cycles; its event count, latency
+    /// histogram and summary are zero and default, except under
+    /// [`Scenario::Fig6`], whose engine folds its own events.
     Null,
-    /// Counters + metrics (the fleet default): the outcome carries a
-    /// [`MetricsSummary`], a [`CountersSink`] and the all-SI latency
-    /// histogram.
+    /// One [`MetricsSink`] (the fleet default): the outcome carries its
+    /// [`MetricsSummary`], event count and all-SI latency histogram.
     #[default]
     Metrics,
     /// [`SinkSpec::Metrics`] plus the full ordered [`Timeline`].
@@ -234,10 +237,13 @@ impl ShardSpec {
         self
     }
 
-    /// Builds the ready-to-run Fig. 6 engine this spec describes — the
-    /// construction half of the API, for callers that need the live
-    /// engine (the chaos harness attaches its own bounded-tail sinks, the
-    /// fig06 binary renders waveforms from it).
+    /// Builds the ready-to-run Fig. 6 engine this spec describes — six
+    /// Atom Containers over the H.264 Atoms with the spec's fault plan
+    /// and power mode, running Task A (video codec, SATD_4x4) and Task B
+    /// (SI0 = SAD_4x4, SI1 = DCT_4x4). It is the construction half of the
+    /// API, for callers that need the live engine (the chaos harness
+    /// attaches its own bounded-tail sinks, the fig06 binary renders
+    /// waveforms from it).
     ///
     /// # Panics
     ///
@@ -249,7 +255,51 @@ impl ShardSpec {
             Scenario::Fig6,
             "build_fig6 needs a Fig6 spec"
         );
-        fig6_engine_configured(&self.faults, self.power_mode)
+        let (lib, sis) = build_library();
+        let fabric = h264_fabric(6).with_faults(self.faults.clone());
+        let manager = RisppManager::builder(lib, fabric)
+            .power_mode(self.power_mode)
+            .build();
+        let mut engine = Engine::new(manager);
+        for task in fig6_tasks(&sis) {
+            engine.add_task(task);
+        }
+        (engine, sis)
+    }
+
+    /// Builds the sinks a run of this spec feeds: one [`MetricsSink`]
+    /// (configured as the scenario needs), the [`SinkSpec`] capture and
+    /// the [`ShardSpec::bin_path`] file. Every arm of [`ShardSpec::run`]
+    /// builds its sinks here; the benchmark's traced mirror of `run` is
+    /// the next caller (ROADMAP item 1(a)).
+    ///
+    /// There is no metrics sink under [`SinkSpec::Null`], and none for
+    /// [`Scenario::Fig6`], whose engine folds its own.
+    #[must_use]
+    pub fn sink_set(&self) -> SinkSet {
+        let metrics = match self.scenario {
+            Scenario::Fig6 => None,
+            _ if self.sink == SinkSpec::Null => None,
+            Scenario::Stress { .. } => Some(MetricsSink::new()),
+            Scenario::LiveCodec { containers, .. } => {
+                Some(MetricsSink::new().with_containers(containers))
+            }
+        };
+        let captures = |spec: SinkSpec| self.sink == spec;
+        SinkSet {
+            scenario: self.scenario.id(),
+            seed: self.seed,
+            metrics: metrics.map(shared),
+            timeline: captures(SinkSpec::Timeline).then(|| shared(TimelineSink::new())),
+            jsonl: captures(SinkSpec::Jsonl).then(|| shared(JsonlSink::new(Vec::new()))),
+            binary: captures(SinkSpec::Binary).then(|| shared(BinarySink::new(Vec::new()))),
+            bin_file: self.bin_path.as_ref().map(|path| {
+                let file = File::create(path).unwrap_or_else(|e| {
+                    panic!("cannot create binary event log {}: {e}", path.display())
+                });
+                shared(BinarySink::new(BufWriter::new(file)))
+            }),
+        }
     }
 
     /// Runs the shard to completion and distils the outcome.
@@ -258,70 +308,33 @@ impl ShardSpec {
         match self.scenario {
             Scenario::Fig6 => self.run_fig6(),
             Scenario::Stress { platforms, steps } => self.run_stress(platforms, steps),
-            Scenario::LiveCodec {
-                width,
-                height,
-                frames,
-                containers,
-            } => self.run_live_codec(width, height, frames, containers),
+            Scenario::LiveCodec { .. } => self.run_live_codec(),
         }
     }
 
     fn run_fig6(&self) -> ShardOutcome {
         let (mut engine, _sis) = self.build_fig6();
-        let counters =
-            (self.sink != SinkSpec::Null).then(|| Rc::new(RefCell::new(CountersSink::new())));
-        let extras = ExtraSinks::for_spec(self);
-        let mut attach: Option<SinkHandle> =
-            counters.as_ref().map(|c| SinkHandle::shared(c.clone()));
-        if let Some(extra) = extras.handle() {
-            attach = Some(match attach {
-                Some(a) => SinkHandle::tee(a, extra),
-                None => extra,
-            });
-        }
-        if let Some(sink) = attach {
-            engine.attach_sink(sink);
-        }
+        let sinks = self.sink_set();
+        engine.attach_sink(sinks.handle());
         let end = engine.run(100_000);
-        let events = engine.timeline().len() as u64;
         let summary = engine.finish_metrics();
-        let lib_len = engine.manager().library().len();
+        let metrics = engine.metrics();
+        let (events, latency) = (metrics.events(), metrics.latency().clone());
+        drop(metrics);
         drop(engine);
-        let counters = counters.map(|c| {
-            Rc::try_unwrap(c)
-                .expect("engine dropped its sink handles")
-                .into_inner()
-        });
-        let latency = counters
-            .as_ref()
-            .map(|c| all_si_latency(c, lib_len))
-            .unwrap_or_default();
-        let (timeline, jsonl, binary) = extras.into_parts();
         ShardOutcome {
-            scenario: self.scenario.id(),
-            seed: self.seed,
             events,
             sim_cycles: end,
             summary,
-            counters,
             latency,
-            timeline,
-            jsonl,
-            binary,
-            codec: None,
-            stress: None,
+            ..sinks.finish(end)
         }
     }
 
     fn run_stress(&self, platforms: u64, steps: u32) -> ShardOutcome {
-        let counting = Rc::new(RefCell::new(CountingSink::default()));
-        let metrics = Rc::new(RefCell::new(MetricsSink::new()));
-        let extras = ExtraSinks::for_spec(self);
+        let sinks = self.sink_set();
         let mut totals = StressTotals::default();
         let mut sim_cycles = 0u64;
-        let mut widest_lib = 0usize;
-        let mut merged_counters: Option<CountersSink> = None;
         for platform in 0..platforms {
             let seed = self.seed.wrapping_add(platform);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -332,28 +345,13 @@ impl ShardSpec {
                 fabric.with_faults(self.faults.clone())
             };
             let containers = fabric.num_containers();
-            let sink = if self.sink == SinkSpec::Null {
-                // Null skips the metrics sinks, but a requested file
-                // capture still rides along.
-                extras.handle().unwrap_or_else(SinkHandle::null)
-            } else {
-                let mut sink = SinkHandle::tee(
-                    SinkHandle::shared(counting.clone()),
-                    SinkHandle::shared(metrics.clone()),
-                );
-                if let Some(extra) = extras.handle() {
-                    sink = SinkHandle::tee(sink, extra);
-                }
-                sink
-            };
-            // Per-platform counters, so the cross-check below audits this
+            // With checks on, a per-platform auditor cross-checks this
             // platform's event stream in isolation.
-            let counters =
-                (self.sink != SinkSpec::Null).then(|| Rc::new(RefCell::new(CountersSink::new())));
-            let sink = match &counters {
-                Some(c) => SinkHandle::tee(sink, SinkHandle::shared(c.clone())),
-                None => sink,
-            };
+            let auditor = self.checks.then(|| shared(CountersSink::new()));
+            let mut sink = sinks.handle();
+            if let Some(auditor) = &auditor {
+                sink = SinkHandle::tee(sink, SinkHandle::shared(auditor.clone()));
+            }
             let mut mgr = RisppManager::builder(lib.clone(), fabric)
                 .power_mode(self.power_mode)
                 .sink(sink)
@@ -408,116 +406,28 @@ impl ShardSpec {
             }
             stats.rotations_requested = mgr.rotations_requested();
             sim_cycles += mgr.now();
-            drop(mgr);
-            if let Some(counters) = counters {
-                let counters = Rc::try_unwrap(counters)
-                    .expect("manager dropped its sink handles")
-                    .into_inner();
-                if self.checks {
-                    cross_check_counters(&counters, &lib, &stats, seed);
-                }
-                widest_lib = widest_lib.max(lib.len());
-                match &mut merged_counters {
-                    Some(m) => m.merge(&counters),
-                    None => merged_counters = Some(counters),
-                }
+            if let Some(auditor) = auditor {
+                cross_check_counters(&auditor.borrow(), &lib, &stats, seed);
             }
             totals.merge(&stats);
         }
-        let mut m = metrics.borrow_mut();
-        m.finish();
-        let summary = m.summary();
-        drop(m);
-        let events = counting.borrow().events;
-        let latency = merged_counters
-            .as_ref()
-            .map(|c| all_si_latency(c, widest_lib))
-            .unwrap_or_default();
-        let (timeline, jsonl, binary) = extras.into_parts();
         ShardOutcome {
-            scenario: self.scenario.id(),
-            seed: self.seed,
-            events,
             sim_cycles,
-            summary,
-            counters: merged_counters,
-            latency,
-            timeline,
-            jsonl,
-            binary,
-            codec: None,
             stress: Some(totals),
+            // Each platform's clock starts at 0, so the gauges end at the
+            // latest event of any platform.
+            ..sinks.finish(0)
         }
     }
 
-    fn run_live_codec(
-        &self,
-        width: usize,
-        height: usize,
-        frames: usize,
-        containers: usize,
-    ) -> ShardOutcome {
-        let counting = Rc::new(RefCell::new(CountingSink::default()));
-        let metrics = Rc::new(RefCell::new(MetricsSink::new().with_containers(containers)));
-        let counters = Rc::new(RefCell::new(CountersSink::new()));
-        let extras = ExtraSinks::for_spec(self);
-        let sink = if self.sink == SinkSpec::Null {
-            // Null skips the metrics sinks, but a requested file capture
-            // still rides along.
-            extras.handle()
-        } else {
-            let mut sink = SinkHandle::tee(
-                SinkHandle::shared(counting.clone()),
-                SinkHandle::shared(metrics.clone()),
-            );
-            sink = SinkHandle::tee(sink, SinkHandle::shared(counters.clone()));
-            if let Some(extra) = extras.handle() {
-                sink = SinkHandle::tee(sink, extra);
-            }
-            Some(sink)
-        };
-        let faults = (!self.faults.is_empty()).then_some(&self.faults);
-        let out = run_encoder_on_rispp_configured(
-            width,
-            height,
-            frames,
-            containers,
-            &EncoderConfig::default(),
-            self.seed,
-            faults,
-            sink,
-            self.power_mode,
-        );
-        let mut m = metrics.borrow_mut();
-        m.advance_to(out.total_cycles);
-        m.finish();
-        let summary = m.summary();
-        drop(m);
-        let events = counting.borrow().events;
-        let counters = Rc::try_unwrap(counters)
-            .expect("manager dropped its sink handles")
-            .into_inner();
-        let (lib, _) = rispp_h264::si_library::build_library();
-        let (counters, latency) = if self.sink == SinkSpec::Null {
-            (None, LatencyHistogram::default())
-        } else {
-            let latency = all_si_latency(&counters, lib.len());
-            (Some(counters), latency)
-        };
-        let (timeline, jsonl, binary) = extras.into_parts();
+    fn run_live_codec(&self) -> ShardOutcome {
+        let sinks = self.sink_set();
+        let out = run_live_encoder(self, sinks.handle());
+        let end = out.total_cycles;
         ShardOutcome {
-            scenario: self.scenario.id(),
-            seed: self.seed,
-            events,
-            sim_cycles: out.total_cycles,
-            summary,
-            counters,
-            latency,
-            timeline,
-            jsonl,
-            binary,
+            sim_cycles: end,
             codec: Some(out),
-            stress: None,
+            ..sinks.finish(end)
         }
     }
 }
@@ -530,20 +440,18 @@ pub struct ShardOutcome {
     pub scenario: &'static str,
     /// The spec's seed (for standalone replay).
     pub seed: u64,
-    /// Events emitted (all kinds; zero under [`SinkSpec::Null`] for
-    /// scenarios without a built-in timeline).
+    /// Events emitted, of every kind, as the run's [`MetricsSink`]
+    /// counted them (zero under [`SinkSpec::Null`], except for
+    /// [`Scenario::Fig6`], whose engine always folds its events).
     pub events: u64,
     /// Simulated cycles covered (summed over stress platforms).
     pub sim_cycles: u64,
-    /// Simulated-time gauges cross-section.
+    /// Simulated-time gauges cross-section, from the same sink.
     pub summary: MetricsSummary,
-    /// Aggregate counters (absent under [`SinkSpec::Null`]; merged over
-    /// stress platforms).
-    pub counters: Option<CountersSink>,
-    /// Latency of every SI execution, across all SIs.
+    /// Latency of every SI execution, across all SIs, from the same
+    /// sink.
     pub latency: LatencyHistogram,
-    /// The full event timeline (under [`SinkSpec::Timeline`] /
-    /// [`SinkSpec::Jsonl`] where the scenario records one).
+    /// The full event timeline (under [`SinkSpec::Timeline`]).
     pub timeline: Option<Timeline>,
     /// JSONL export of the event stream (under [`SinkSpec::Jsonl`]).
     pub jsonl: Option<String>,
@@ -583,21 +491,27 @@ impl StressTotals {
     }
 }
 
-/// Counts events without storing them (the cheapest enabled sink).
-#[derive(Debug, Default)]
-struct CountingSink {
-    events: u64,
+fn shared<S>(sink: S) -> Rc<RefCell<S>> {
+    Rc::new(RefCell::new(sink))
 }
 
-impl EventSink for CountingSink {
-    fn emit(&mut self, _at: u64, _event: &Event) {
-        self.events += 1;
-    }
+/// Takes a sink back once the run has dropped its handles.
+fn unshared<S>(sink: Rc<RefCell<S>>) -> S {
+    Rc::try_unwrap(sink)
+        .ok()
+        .expect("the run dropped its sink handles")
+        .into_inner()
 }
 
-/// The optional timeline/JSONL consumers a [`SinkSpec`] adds on top of
-/// the scenario's built-in sinks.
-struct ExtraSinks {
+/// The sinks one run feeds, built by [`ShardSpec::sink_set`]: a
+/// [`MetricsSink`] (absent under [`SinkSpec::Null`] and for
+/// [`Scenario::Fig6`]), at most one [`SinkSpec`] capture, and the
+/// [`ShardSpec::bin_path`] file.
+#[derive(Debug)]
+pub struct SinkSet {
+    scenario: &'static str,
+    seed: u64,
+    metrics: Option<Rc<RefCell<MetricsSink>>>,
     timeline: Option<Rc<RefCell<TimelineSink>>>,
     jsonl: Option<Rc<RefCell<JsonlSink<Vec<u8>>>>>,
     binary: Option<Rc<RefCell<BinarySink<Vec<u8>>>>>,
@@ -607,95 +521,66 @@ struct ExtraSinks {
     bin_file: Option<Rc<RefCell<BinarySink<BufWriter<File>>>>>,
 }
 
-impl ExtraSinks {
-    fn for_spec(spec: &ShardSpec) -> Self {
-        ExtraSinks {
-            timeline: matches!(spec.sink, SinkSpec::Timeline)
-                .then(|| Rc::new(RefCell::new(TimelineSink::new()))),
-            jsonl: matches!(spec.sink, SinkSpec::Jsonl)
-                .then(|| Rc::new(RefCell::new(JsonlSink::new(Vec::new())))),
-            binary: matches!(spec.sink, SinkSpec::Binary)
-                .then(|| Rc::new(RefCell::new(BinarySink::new(Vec::new())))),
-            bin_file: spec.bin_path.as_ref().map(|path| {
-                let file = File::create(path).unwrap_or_else(|e| {
-                    panic!("cannot create binary event log {}: {e}", path.display())
-                });
-                Rc::new(RefCell::new(BinarySink::new(BufWriter::new(file))))
-            }),
-        }
+impl SinkSet {
+    /// One handle feeding every sink in the set (a disabled handle when
+    /// the set is empty). A run may take several, e.g. one per stress
+    /// platform.
+    #[must_use]
+    pub fn handle(&self) -> SinkHandle {
+        [
+            self.metrics.clone().map(SinkHandle::shared),
+            self.timeline.clone().map(SinkHandle::shared),
+            self.jsonl.clone().map(SinkHandle::shared),
+            self.binary.clone().map(SinkHandle::shared),
+            self.bin_file.clone().map(SinkHandle::shared),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(SinkHandle::null(), SinkHandle::tee)
     }
 
-    /// A handle over whichever extra consumers exist, if any. The
-    /// [`SinkSpec`] variants are mutually exclusive, so at most one of
-    /// those is live; the file capture can ride alongside any of them.
-    fn handle(&self) -> Option<SinkHandle> {
-        let mut handle: Option<SinkHandle> = None;
-        let mut add = |h: SinkHandle| {
-            handle = Some(match handle.take() {
-                Some(a) => SinkHandle::tee(a, h),
-                None => h,
-            });
-        };
-        if let Some(t) = &self.timeline {
-            add(SinkHandle::shared(t.clone()));
-        }
-        if let Some(j) = &self.jsonl {
-            add(SinkHandle::shared(j.clone()));
-        }
-        if let Some(b) = &self.binary {
-            add(SinkHandle::shared(b.clone()));
-        }
-        if let Some(f) = &self.bin_file {
-            add(SinkHandle::shared(f.clone()));
-        }
-        handle
-    }
-
-    /// Unwraps the captured timeline, JSONL text and binary bytes, and
-    /// flushes the file capture. The producing engine must have been
-    /// dropped first, so this holds the last handles.
-    fn into_parts(self) -> (Option<Timeline>, Option<String>, Option<Vec<u8>>) {
-        let timeline = self.timeline.map(|t| {
-            Rc::try_unwrap(t)
-                .expect("engine dropped its sink handles")
-                .into_inner()
-                .into_timeline()
-        });
-        let jsonl = self.jsonl.map(|j| {
-            let sink = Rc::try_unwrap(j)
-                .expect("engine dropped its sink handles")
-                .into_inner();
-            String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8")
-        });
-        let binary = self.binary.map(|b| {
-            Rc::try_unwrap(b)
-                .expect("engine dropped its sink handles")
-                .into_inner()
-                .into_inner()
+    /// Settles the metrics at simulated time `end` (never moving their
+    /// horizon back), flushes the file capture and returns an outcome
+    /// holding the spec's scenario and seed, the event count, summary
+    /// and latency histogram, and the captures. The caller adds its
+    /// scenario's own fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a handle from [`SinkSet::handle`] is still alive, or
+    /// when the file capture cannot be flushed.
+    #[must_use]
+    pub fn finish(self, end: u64) -> ShardOutcome {
+        let (events, summary, latency) = self.metrics.map_or_else(Default::default, |m| {
+            let mut m = unshared(m);
+            m.advance_to(end);
+            m.finish();
+            (m.events(), m.summary(), m.latency().clone())
         });
         if let Some(f) = self.bin_file {
             // into_inner flushes the sink's batch buffer; flush the
             // BufWriter explicitly so disk errors surface here instead
             // of being swallowed by its Drop.
             use std::io::Write as _;
-            Rc::try_unwrap(f)
-                .expect("engine dropped its sink handles")
-                .into_inner()
+            unshared(f)
                 .into_inner()
                 .flush()
                 .expect("flush binary event log");
         }
-        (timeline, jsonl, binary)
+        ShardOutcome {
+            scenario: self.scenario,
+            seed: self.seed,
+            events,
+            summary,
+            latency,
+            timeline: self.timeline.map(|t| unshared(t).into_timeline()),
+            jsonl: self
+                .jsonl
+                .map(|j| String::from_utf8(unshared(j).into_inner()).expect("JSONL is UTF-8")),
+            binary: self.binary.map(|b| unshared(b).into_inner()),
+            ..ShardOutcome::default()
+        }
     }
-}
-
-/// Folds every SI's latency histogram into the all-SI distribution.
-fn all_si_latency(counters: &CountersSink, lib_len: usize) -> LatencyHistogram {
-    let mut all = LatencyHistogram::default();
-    for i in 0..lib_len {
-        all.merge(&counters.si(SiId(i)).latency);
-    }
-    all
 }
 
 /// Asserts the exported event stream agrees with the harness tallies.

@@ -108,11 +108,12 @@ pub fn render_waveform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{fig6_engine, h264_fabric};
+    use crate::scenario::h264_fabric;
+    use crate::spec::{Scenario, ShardSpec};
     use rispp_h264::si_library::atom_set;
 
     fn traced_run() -> (Timeline, u64) {
-        let (mut engine, _) = fig6_engine();
+        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
         let end = engine.run(100_000);
         let timeline = engine.timeline().clone();
         (timeline, end)

@@ -14,7 +14,6 @@ use rispp::sim::chaos::{
     check_fault_recovery, check_monotone_time, check_occupancy_pairing, check_upgrade_ladder,
     run_codec_chaos, run_fig6_chaos,
 };
-use rispp::sim::fig6_engine_with_faults;
 
 const HORIZON: u64 = 2_000_000;
 
@@ -59,7 +58,9 @@ fn every_rotation_failure_is_followed_by_retry_or_software() {
     // successful rotation of the same Atom kind or a later software
     // execution of an SI that wanted it.
     let plan = FaultPlan::seeded(1, 6, HORIZON);
-    let (mut engine, _sis) = fig6_engine_with_faults(&plan);
+    let (mut engine, _sis) = ShardSpec::new(Scenario::Fig6, 0)
+        .with_faults(plan)
+        .build_fig6();
     engine.run(100_000);
     let lib = engine.manager().library().clone();
     let timeline = engine.timeline();

@@ -97,8 +97,9 @@ fn live_codec_shard_replays_byte_identical_jsonl() {
 
 /// Every run writes the same bytes. For each scenario, with and without
 /// a fault plan, under both codecs, every shard of a fleet and its
-/// standalone replay export the same stream; and an engine built
-/// without a spec exports the same stream on every run.
+/// standalone replay export the same stream; and an engine from
+/// `build_fig6` with its own sinks attached exports the same stream on
+/// every run.
 #[test]
 fn every_run_replays_byte_identical() {
     let live_codec = Scenario::LiveCodec {
@@ -146,7 +147,7 @@ fn every_run_replays_byte_identical() {
     }
 
     let capture = || {
-        let (mut engine, _) = rispp::sim::fig6_engine();
+        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
         let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
         let binary = Rc::new(RefCell::new(BinarySink::new(Vec::new())));
         engine.attach_sink(SinkHandle::shared(jsonl.clone()));
@@ -162,7 +163,52 @@ fn every_run_replays_byte_identical() {
     };
     let (jsonl, binary) = capture();
     assert!(!jsonl.is_empty() && !binary.is_empty());
-    assert!(capture() == (jsonl, binary), "fig6_engine export diverged");
+    assert!(capture() == (jsonl, binary), "build_fig6 export diverged");
+}
+
+/// An outcome's event count and all-SI latency histogram are what a
+/// fresh `MetricsSink` folds from the run's own binary log.
+#[test]
+fn event_count_and_latency_replay_from_the_log() {
+    let cases = [
+        (Scenario::Fig6, None),
+        (Scenario::Fig6, Some(2_000_000)),
+        (
+            Scenario::Stress {
+                platforms: 2,
+                steps: 60,
+            },
+            None,
+        ),
+        (
+            Scenario::LiveCodec {
+                width: 32,
+                height: 32,
+                frames: 1,
+                containers: 4,
+            },
+            None,
+        ),
+    ];
+    for (scenario, fault_horizon) in cases {
+        let case = format!("{} faults {fault_horizon:?}", scenario.id());
+        let out = ScenarioFactory::new(scenario, 2_026)
+            .with_sink(SinkSpec::Binary)
+            .with_fault_horizon(fault_horizon)
+            .spec_for(0)
+            .run();
+        let mut replayed = MetricsSink::new();
+        let log = out.binary.as_deref().expect("binary captured");
+        rispp::obs::bin::replay(log, &mut replayed).expect("the log decodes");
+        assert!(out.events > 0, "{case}: no events");
+        assert_eq!(out.events, replayed.events(), "{case}: event count");
+        assert_eq!(out.latency, *replayed.latency(), "{case}: latency");
+        assert_eq!(
+            out.latency.count(),
+            out.summary.executions_total,
+            "{case}: one latency sample per execution"
+        );
+    }
 }
 
 #[test]

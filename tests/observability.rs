@@ -12,7 +12,6 @@ use rispp::rt::{
     SelectionPolicy,
 };
 use rispp::sim::h264_fabric;
-use rispp::sim::scenario::fig6_engine;
 
 fn settled_latencies<P, S, R>(
     mut mgr: RisppManager<P, S, R>,
@@ -93,7 +92,7 @@ fn policy_knobs_change_the_type_not_the_semantics() {
 
 #[test]
 fn counters_sink_matches_legacy_manager_stats() {
-    let (mut engine, sis) = fig6_engine();
+    let (mut engine, sis) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let counters = Rc::new(RefCell::new(CountersSink::new()));
     engine.attach_sink(SinkHandle::shared(counters.clone()));
     engine.run(100_000);
@@ -123,7 +122,7 @@ fn counters_identical_live_and_after_jsonl_replay() {
     // One run, two CountersSinks: one fed live through the engine's tee,
     // one fed from the JSONL export of the very same stream. Aggregation
     // must not be able to tell the difference.
-    let (mut engine, _) = fig6_engine();
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let live = Rc::new(RefCell::new(CountersSink::new()));
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     engine.attach_sink(SinkHandle::tee(
@@ -147,7 +146,7 @@ fn counters_identical_live_and_after_jsonl_replay() {
 
 #[test]
 fn fig6_jsonl_export_replays_into_identical_timeline() {
-    let (mut engine, _) = fig6_engine();
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     engine.attach_sink(SinkHandle::shared(export.clone()));
     engine.run(100_000);
