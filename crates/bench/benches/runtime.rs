@@ -76,9 +76,10 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     group.bench_function("waveform/fig6", |b| {
-        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
-        let end = engine.run(100_000);
-        let trace = engine.timeline().clone();
+        let out = ShardSpec::new(Scenario::Fig6, 0)
+            .with_sink(SinkSpec::Timeline)
+            .run();
+        let (trace, end) = (out.timeline.expect("timeline captured"), out.sim_cycles);
         let atoms = atom_set();
         b.iter(|| render_waveform(black_box(&trace), &atoms, 6, end, 96))
     });

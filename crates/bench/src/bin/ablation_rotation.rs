@@ -19,7 +19,7 @@ struct Run {
 fn run(strategy: RotationStrategy, containers: usize) -> Run {
     let (lib, sis) = build_library();
     let mut mgr = RisppManager::builder(lib, h264_fabric(containers))
-        .rotation_strategy(strategy)
+        .schedule_policy(strategy)
         .build();
     mgr.forecast(0, ForecastValue::new(sis.satd_4x4, 1.0, 400_000.0, 400.0));
     let mut first_hw_at = 0;

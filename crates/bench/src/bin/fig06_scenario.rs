@@ -9,15 +9,12 @@
 //!
 //! Optional flags: `--jsonl-out PATH` dumps the raw export,
 //! `--bin-out PATH` dumps the same stream in the binary transport
-//! (teed from the same live run), `--report-out PATH` renders the
+//! (from a run of its own), `--report-out PATH` renders the
 //! `rispp_report` markdown analysis of this run, and `--trace-out PATH`
 //! writes a Chrome-trace-event JSON file of the same run — one track
 //! per Atom Container plus per-task SI slices and counter tracks —
 //! loadable in Perfetto or `chrome://tracing`. The events carry
 //! simulated time only, so two runs write byte-identical files.
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use rispp::h264::si_library::atom_set;
 use rispp::obs::jsonl;
@@ -74,27 +71,19 @@ fn main() {
         report.rotations
     );
 
-    // Re-run with a JSONL export attached, then rebuild the timeline
-    // purely from the exported text.
-    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
-    let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    engine.attach_sink(SinkHandle::shared(export.clone()));
-    // Tee the binary transport off the same live run when asked, so
-    // both exports describe the identical event sequence.
-    let bin_export = bin_out
-        .as_ref()
-        .map(|_| Rc::new(RefCell::new(BinarySink::new(Vec::new()))));
-    if let Some(sink) = &bin_export {
-        engine.attach_sink(SinkHandle::shared(sink.clone()));
-    }
-    let end = engine.run(100_000);
-
-    let text = String::from_utf8(export.borrow().writer().clone()).expect("JSONL is UTF-8");
+    // Re-run with a JSONL export, then rebuild the timeline purely from
+    // the exported text. Every run emits the same events, so a run that
+    // keeps its timeline is the live reference.
+    let fig6 = ShardSpec::new(Scenario::Fig6, 0);
+    let live = fig6.clone().with_sink(SinkSpec::Timeline).run();
+    let export = fig6.clone().with_sink(SinkSpec::Jsonl).run();
+    let end = export.sim_cycles;
+    let text = export.jsonl.expect("JSONL captured");
     let mut replayed = TimelineSink::new();
     jsonl::replay(&text, &mut replayed).expect("export replays cleanly");
     assert_eq!(
-        replayed.timeline(),
-        &*engine.timeline(),
+        Some(replayed.timeline()),
+        live.timeline.as_ref(),
         "replayed timeline must match the live one"
     );
     let timeline = replayed.into_timeline();
@@ -108,12 +97,9 @@ fn main() {
         std::fs::write(path, &text).expect("write JSONL export");
         println!("JSONL export written to {path}");
     }
-    if let (Some(path), Some(sink)) = (&bin_out, bin_export) {
-        drop(engine); // release the engine's handle so the Rc unwraps
-        let bytes = Rc::try_unwrap(sink)
-            .expect("engine released its sink handle")
-            .into_inner()
-            .into_inner();
+    if let Some(path) = &bin_out {
+        let bytes = fig6.with_sink(SinkSpec::Binary).run().binary;
+        let bytes = bytes.expect("binary captured");
         std::fs::write(path, &bytes).expect("write binary export");
         println!("binary export written to {path} ({} bytes)", bytes.len());
     }

@@ -38,7 +38,7 @@ use std::time::Duration;
 use rispp::obs::alert::{AlertEngine, AlertRule};
 use rispp::obs::bin::{self, StreamDecoder};
 use rispp::obs::window::{WindowConfig, WindowSink, WindowSnapshot};
-use rispp::obs::{jsonl, EventSink, MetricsSink, MetricsSummary, NullSink};
+use rispp::obs::{jsonl, EventSink, MetricsSink, MetricsSummary};
 
 /// How the [`Follower`] is decoding its input.
 enum FollowState {
@@ -50,8 +50,8 @@ enum FollowState {
     Jsonl {
         /// Bytes after the last complete line (may split UTF-8).
         carry: Vec<u8>,
-        /// Non-empty lines consumed so far (header detection).
-        lines: usize,
+        /// Header rule and line numbers, shared with `jsonl::replay`.
+        reader: jsonl::LineReader,
     },
 }
 
@@ -181,7 +181,7 @@ impl Follower {
             } else {
                 FollowState::Jsonl {
                     carry: Vec::new(),
-                    lines: 0,
+                    reader: jsonl::LineReader::new(),
                 }
             };
             return self.decode(&buffered, sink);
@@ -200,7 +200,7 @@ impl Follower {
                     emitted += 1;
                 }
             }
-            FollowState::Jsonl { carry, lines } => {
+            FollowState::Jsonl { carry, reader } => {
                 carry.extend_from_slice(bytes);
                 // Replay every complete line, walking them by index, then
                 // drop them in one drain: the partial tail stays. (Draining
@@ -211,19 +211,10 @@ impl Follower {
                     let line = &carry[start..start + nl];
                     start += nl + 1;
                     let text = std::str::from_utf8(line).map_err(invalid_data)?;
-                    if text.trim().is_empty() {
-                        continue;
+                    if let Some(record) = reader.read_line(text).map_err(invalid_data)? {
+                        sink.emit(record.at, &record.event);
+                        emitted += 1;
                     }
-                    *lines += 1;
-                    if *lines == 1 && text.contains("\"schema_version\"") {
-                        // First line is the header: validate it (this
-                        // refuses future versions), emit nothing.
-                        jsonl::replay(text, &mut NullSink).map_err(invalid_data)?;
-                        continue;
-                    }
-                    let record = jsonl::decode(text).map_err(invalid_data)?;
-                    sink.emit(record.at, &record.event);
-                    emitted += 1;
                 }
                 carry.drain(..start);
             }
@@ -1145,7 +1136,7 @@ pub fn run_check(opts: &ServeOptions) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rispp::obs::TimelineSink;
+    use rispp::obs::{NullSink, TimelineSink};
     use rispp::sim::{Scenario, ShardSpec, SinkSpec};
     use std::io::BufReader;
     use std::sync::atomic::AtomicU64;
@@ -1226,6 +1217,37 @@ mod tests {
         assert_eq!(sink.timeline().entries(), offline.timeline().entries());
         assert_eq!(total, offline.timeline().len() as u64);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A corrupt event and a stray header are refused as `jsonl::replay`
+    /// refuses them: the same message, naming the same line.
+    #[test]
+    fn follower_jsonl_errors_name_the_replay_line() {
+        let text = String::from_utf8(fig6_export(false)).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let unknown = lines[40].replacen("\"ev\":\"", "\"ev\":\"bogus_", 1);
+        for (number, replacement, message) in [
+            (41, unknown.as_str(), "unknown event type"),
+            (
+                11,
+                lines[0],
+                "schema_version header must be the first record",
+            ),
+        ] {
+            let mut edited = lines.clone();
+            edited[number - 1] = replacement;
+            let log = edited.join("\n") + "\n";
+            let expected = jsonl::replay(&log, &mut NullSink).unwrap_err().to_string();
+            assert!(
+                expected.starts_with(&format!("jsonl line {number}: {message}")),
+                "{expected}"
+            );
+            let path = scratch("bad_line");
+            std::fs::write(&path, &log).unwrap();
+            let e = Follower::new(&path).poll(&mut NullSink).unwrap_err();
+            assert_eq!(e.to_string(), expected);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

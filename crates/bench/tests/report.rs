@@ -15,12 +15,15 @@ use rispp_bench::report::{analyze, render_markdown, ReportConfig};
 /// Runs the Fig. 6 scenario with a JSONL export attached and returns the
 /// export text plus the live timeline.
 fn fig6_with_export() -> (String, Timeline) {
-    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
+    let live = Rc::new(RefCell::new(TimelineSink::new()));
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    engine.attach_sink(SinkHandle::shared(export.clone()));
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::tee(
+        SinkHandle::shared(live.clone()),
+        SinkHandle::shared(export.clone()),
+    ));
     engine.run(100_000);
     let text = String::from_utf8(export.borrow().writer().clone()).expect("JSONL is UTF-8");
-    let timeline = engine.timeline().clone();
+    let timeline = live.borrow().timeline().clone();
     (text, timeline)
 }
 

@@ -4,6 +4,7 @@
 //! offline replays, live-vs-replay window determinism, and the
 //! `--check` alert gate.
 
+use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -158,6 +159,50 @@ fn per_shard_gauges_equal_an_offline_replay_of_each_shards_log() {
         1
     );
     assert!(exposition.contains("rispp_shards 3"));
+    for path in &paths {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+/// The series an exposition lists, by name (one `# TYPE` line each).
+fn series_names(exposition: &str) -> BTreeSet<&str> {
+    exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .collect()
+}
+
+#[test]
+fn one_log_and_a_fleet_expose_the_same_series() {
+    let logs = stress_logs(2, 44);
+    let paths: Vec<PathBuf> = logs
+        .iter()
+        .enumerate()
+        .map(|(k, bytes)| {
+            let path = scratch(&format!("series{k}"));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        })
+        .collect();
+    let exposition = |paths: &[PathBuf]| {
+        let state = Mutex::new(FleetState::new(
+            paths.to_vec(),
+            0,
+            WindowConfig::default(),
+            None,
+        ));
+        let mut followers: Vec<Follower> = paths.iter().map(Follower::new).collect();
+        poll_fleet(&mut followers, &state);
+        let text = state.lock().unwrap().render_metrics();
+        text
+    };
+    let one = exposition(&paths[..1]);
+    let fleet = exposition(&paths);
+    // Only one log's exposition breaks occupancy down per container.
+    let mut one_names = series_names(&one);
+    assert!(one_names.remove("rispp_container_occupancy"));
+    assert_eq!(one_names, series_names(&fleet));
     for path in &paths {
         std::fs::remove_file(path).unwrap();
     }

@@ -3,7 +3,7 @@
 //!
 //! [`BinarySink`] serialises every event into a versioned, length-prefixed
 //! binary stream with batched buffered writes; [`replay`] /
-//! [`StreamDecoder`] / [`BinaryReader`] turn the stream back into the
+//! [`StreamDecoder`] turn the stream back into the
 //! identical [`Event`] values a [`Timeline`](crate::Timeline) would hold.
 //! The format exists because JSONL costs hundreds of nanoseconds per
 //! event (shortest-round-trip float formatting, field names, UTF-8) while
@@ -62,7 +62,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
@@ -1097,78 +1097,6 @@ impl StreamDecoder {
     }
 }
 
-/// Streaming reader over any [`Read`], yielding decoded records in
-/// order. A truncated tail (bytes that never complete a record) or a
-/// malformed record surfaces as an [`io::Error`] of kind
-/// [`io::ErrorKind::InvalidData`].
-#[derive(Debug)]
-pub struct BinaryReader<R: Read> {
-    reader: R,
-    decoder: StreamDecoder,
-    chunk: Vec<u8>,
-    eof: bool,
-    done: bool,
-}
-
-impl<R: Read> BinaryReader<R> {
-    /// Wraps a reader positioned at the start of a binary stream.
-    pub fn new(reader: R) -> Self {
-        BinaryReader {
-            reader,
-            decoder: StreamDecoder::new(),
-            chunk: vec![0u8; 64 * 1024],
-            eof: false,
-            done: false,
-        }
-    }
-}
-
-impl<R: Read> Iterator for BinaryReader<R> {
-    type Item = io::Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.decoder.next_record() {
-                Ok(Some(record)) => return Some(Ok(record)),
-                Ok(None) => {
-                    if self.eof {
-                        self.done = true;
-                        if self.decoder.pending_bytes() > 0 {
-                            let e = err(
-                                self.decoder.bytes_consumed(),
-                                format!(
-                                    "stream truncated mid-record ({} dangling bytes)",
-                                    self.decoder.pending_bytes()
-                                ),
-                            );
-                            return Some(Err(io::Error::new(io::ErrorKind::InvalidData, e)));
-                        }
-                        return None;
-                    }
-                    match self.reader.read(&mut self.chunk) {
-                        Ok(0) => self.eof = true,
-                        Ok(n) => self.decoder.feed(&self.chunk[..n]),
-                        Err(e) => {
-                            if e.kind() == io::ErrorKind::Interrupted {
-                                continue;
-                            }
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(io::Error::new(io::ErrorKind::InvalidData, e)));
-                }
-            }
-        }
-    }
-}
-
 /// Replays a complete in-memory binary stream into a sink. An empty
 /// input replays zero events (the untouched-sink case); anything else
 /// must carry a full header and whole records.
@@ -1191,21 +1119,6 @@ pub fn replay<S: EventSink>(bytes: &[u8], sink: &mut S) -> Result<(), BinError> 
                 decoder.pending_bytes()
             ),
         ));
-    }
-    Ok(())
-}
-
-/// Replays a binary stream from a reader into a sink, with the same
-/// contract as [`replay`].
-///
-/// # Errors
-///
-/// Returns the underlying I/O error, or a [`BinError`] wrapped in
-/// [`io::Error`] for a malformed or truncated stream.
-pub fn replay_reader<R: Read, S: EventSink>(reader: R, sink: &mut S) -> io::Result<()> {
-    for record in BinaryReader::new(reader) {
-        let record = record?;
-        sink.emit(record.at, &record.event);
     }
     Ok(())
 }
@@ -1376,19 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_round_trips_and_matches_timeline() {
-        let bytes = encode_all(&all_events());
-        let records: Vec<Record> = BinaryReader::new(&bytes[..])
-            .collect::<io::Result<_>>()
-            .unwrap();
-        assert_eq!(records, all_events());
-
-        let mut sink = TimelineSink::new();
-        replay_reader(&bytes[..], &mut sink).unwrap();
-        assert_eq!(sink.timeline().entries(), all_events().as_slice());
-    }
-
-    #[test]
     fn untouched_sink_writes_no_bytes() {
         let sink = BinarySink::new(Vec::new());
         assert!(sink.into_inner().is_empty());
@@ -1429,8 +1329,6 @@ mod tests {
         put_varint(&mut bytes, BIN_SCHEMA_VERSION + 1);
         let e = replay(&bytes, &mut TimelineSink::new()).unwrap_err();
         assert!(e.message.contains("unsupported bin schema_version"), "{e}");
-        let io_err = replay_reader(&bytes[..], &mut TimelineSink::new()).unwrap_err();
-        assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1900,13 +1798,6 @@ mod tests {
                 replay(&bytes, &mut TimelineSink::new()),
                 Err(expected.clone())
             );
-
-            let e = BinaryReader::new(&bytes[..])
-                .find_map(Result::err)
-                .expect("reader fails");
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-            let inner = e.get_ref().and_then(|e| e.downcast_ref::<BinError>());
-            assert_eq!(inner, Some(&expected));
         }
         // A prefix at the limit is merely incomplete.
         let mut decoder = StreamDecoder::new();

@@ -20,7 +20,7 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{self, Write};
+use std::io::Write;
 
 use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
@@ -235,15 +235,6 @@ impl fmt::Display for JsonlError {
 }
 
 impl Error for JsonlError {}
-
-/// Decodes one JSON line into a record.
-///
-/// # Errors
-///
-/// Returns [`JsonlError`] (with `line = 1`) for malformed input.
-pub fn decode(line: &str) -> Result<Record, JsonlError> {
-    decode_at_line(line, 1)
-}
 
 fn err(line: usize, message: impl Into<String>) -> JsonlError {
     JsonlError {
@@ -589,7 +580,7 @@ fn header_version(line: &str, number: usize) -> Option<Result<u64, JsonlError>> 
 /// Tracks the header state of one replayed stream: the header must be
 /// the first non-empty line, appear at most once, and carry a version
 /// this build understands.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct HeaderState {
     records_seen: bool,
     header_seen: bool,
@@ -632,52 +623,57 @@ impl HeaderState {
     }
 }
 
-/// Replays an exported JSONL stream into a sink, line by line. Empty
-/// lines are skipped. A leading `{"schema_version":N}` header is
-/// validated and consumed; headerless streams replay as version 0.
+/// Incremental JSONL decoding, one line at a time: holds the stream's
+/// header state and line number, so a stream fed line by line (a
+/// followed log) is decoded — and refused, at the same line — exactly
+/// as [`replay`] decodes it whole.
+#[derive(Debug, Default)]
+pub struct LineReader {
+    header: HeaderState,
+    line: usize,
+}
+
+impl LineReader {
+    /// A reader positioned before the first line of a stream.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decodes the stream's next line (without its terminator). Empty
+    /// lines and a leading `{"schema_version":N}` header yield `None`;
+    /// headerless streams decode as version 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonlError`], numbered with this line's 1-based
+    /// position in the stream, for a malformed line, a misplaced or
+    /// repeated header, or a schema version newer than
+    /// [`SCHEMA_VERSION`].
+    pub fn read_line(&mut self, line: &str) -> Result<Option<Record>, JsonlError> {
+        self.line += 1;
+        if line.trim().is_empty() || self.header.observe(line, self.line)? {
+            return Ok(None);
+        }
+        decode_at_line(line, self.line).map(Some)
+    }
+}
+
+/// Replays an exported JSONL stream into a sink, line by line through a
+/// [`LineReader`]. Empty lines are skipped. A leading
+/// `{"schema_version":N}` header is validated and consumed; headerless
+/// streams replay as version 0.
 ///
 /// # Errors
 ///
 /// Returns [`JsonlError`] for the first malformed line, a misplaced or
 /// repeated header, or a schema version newer than [`SCHEMA_VERSION`].
 pub fn replay<S: EventSink>(jsonl: &str, sink: &mut S) -> Result<(), JsonlError> {
-    let mut header = HeaderState::default();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = LineReader::new();
+    for line in jsonl.lines() {
+        if let Some(record) = reader.read_line(line)? {
+            sink.emit(record.at, &record.event);
         }
-        if header.observe(line, i + 1)? {
-            continue;
-        }
-        let record = decode_at_line(line, i + 1)?;
-        sink.emit(record.at, &record.event);
-    }
-    Ok(())
-}
-
-/// Replays an exported JSONL stream from a reader into a sink, with the
-/// same header handling as [`replay`].
-///
-/// # Errors
-///
-/// Returns the underlying I/O error, or an [`JsonlError`] wrapped in
-/// [`io::Error`] for a malformed line or an unsupported schema version.
-pub fn replay_reader<R: io::BufRead, S: EventSink>(reader: R, sink: &mut S) -> io::Result<()> {
-    let mut header = HeaderState::default();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let is_header = header
-            .observe(&line, i + 1)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if is_header {
-            continue;
-        }
-        let record = decode_at_line(&line, i + 1)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        sink.emit(record.at, &record.event);
     }
     Ok(())
 }
@@ -813,7 +809,7 @@ mod tests {
     fn every_event_round_trips() {
         for r in all_events() {
             let line = encode(r.at, &r.event);
-            let back = decode(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let back = decode_at_line(&line, 1).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, r, "line {line}");
         }
     }
@@ -837,10 +833,6 @@ mod tests {
         let mut replayed = TimelineSink::new();
         replay(&exported, &mut replayed).unwrap();
         assert_eq!(replayed.timeline(), live.timeline());
-
-        let mut from_reader = TimelineSink::new();
-        replay_reader(exported.as_bytes(), &mut from_reader).unwrap();
-        assert_eq!(from_reader.timeline(), live.timeline());
     }
 
     #[test]
@@ -881,9 +873,6 @@ mod tests {
         assert!(e.message.contains("unsupported schema_version"), "{e}");
         assert_eq!(e.line, 1);
         assert!(sink.timeline().is_empty());
-
-        let io_err = replay_reader(stream.as_bytes(), &mut sink).unwrap_err();
-        assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -921,7 +910,7 @@ mod tests {
                     expected_executions: p * 0.5,
                 },
             );
-            match decode(&line).unwrap().event {
+            match decode_at_line(&line, 1).unwrap().event {
                 Event::ForecastUpdated {
                     probability,
                     expected_executions,
@@ -939,8 +928,8 @@ mod tests {
     fn the_retired_cache_marker_is_checked_then_dropped() {
         let plain = "{\"at\":5,\"ev\":\"reselect\",\"trigger\":\"retract\",\"duration_ns\":0}";
         let marked = plain.replace('}', ",\"cache_hit\":true}");
-        let record = decode(plain).unwrap();
-        assert_eq!(decode(&marked).unwrap(), record);
+        let record = decode_at_line(plain, 1).unwrap();
+        assert_eq!(decode_at_line(&marked, 1).unwrap(), record);
         assert_eq!(encode(record.at, &record.event), plain);
 
         let bad = plain.replace('}', ",\"cache_hit\":3}");
@@ -952,7 +941,7 @@ mod tests {
     #[test]
     fn a_retired_duration_is_checked_then_re_encoded_as_zero() {
         let timed = "{\"at\":5,\"ev\":\"reselect\",\"trigger\":\"fault\",\"duration_ns\":12345}";
-        let record = decode(timed).unwrap();
+        let record = decode_at_line(timed, 1).unwrap();
         assert_eq!(
             record.event,
             Event::Reselect {
@@ -990,7 +979,7 @@ mod tests {
             "{\"at\":1,\"ev\":\"si_executed\",\"task\":0,\"si\":0,\"hw\":1,\"cycles\":2}",
         ];
         for c in cases {
-            assert!(decode(c).is_err(), "accepted {c:?}");
+            assert!(decode_at_line(c, 1).is_err(), "accepted {c:?}");
         }
         let good = "{\"at\":1,\"ev\":\"forecast_retracted\",\"task\":0,\"si\":0}";
         let mut sink = TimelineSink::new();

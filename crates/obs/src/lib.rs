@@ -1,9 +1,9 @@
 //! # rispp-obs — RISPP observability
 //!
 //! Structured run-time events and pluggable sinks for the RISPP
-//! simulator. Producers (the fabric, the run-time manager, the
-//! simulation engine) hold a [`SinkHandle`] and emit [`Event`]s at the
-//! source; consumers choose what to do with the stream:
+//! simulator. Producers (the fabric and the run-time manager) hold a
+//! [`SinkHandle`] and emit [`Event`]s at the source; consumers choose
+//! what to do with the stream:
 //!
 //! * [`NullSink`] / [`SinkHandle::null`] — observability off. A disabled
 //!   handle costs one branch per event site and never constructs the
@@ -14,12 +14,13 @@
 //!   paper's Fig. 6 timelines and the waveform renderer.
 //! * [`JsonlSink`] — streaming JSON Lines export; [`jsonl::replay`]
 //!   turns an exported stream back into any sink, reproducing the live
-//!   timeline exactly.
+//!   timeline exactly, and [`jsonl::LineReader`] decodes a live tail one
+//!   line at a time with the same header rule and line numbers.
 //! * [`BinarySink`] — the compact binary sibling of the JSONL export:
 //!   varint/delta-packed, length-prefixed records with batched buffered
 //!   writes (an order of magnitude cheaper per event); [`bin::replay`] /
-//!   [`BinaryReader`] / [`StreamDecoder`] decode complete streams and
-//!   live tails back into identical events.
+//!   [`StreamDecoder`] decode complete streams and live tails back into
+//!   identical events.
 //! * [`SpanBuilder`] — derived causality spans: stitches
 //!   `ForecastUpdated → Reselect → rotations → first hardware execution`
 //!   into per-`(task, si)` time-to-hardware stories (Fig. 6 as data).
@@ -79,7 +80,7 @@ pub mod trace;
 pub mod window;
 
 pub use alert::{AlertEngine, AlertOp, AlertRule, AlertStatus};
-pub use bin::{BinError, BinaryReader, BinarySink, StreamDecoder};
+pub use bin::{BinError, BinarySink, StreamDecoder};
 pub use counters::{CountersSink, FcCounters, LatencyHistogram, SiCounters};
 pub use event::{Event, Record, ReselectTrigger, TaskId};
 pub use jsonl::{JsonlError, JsonlSink};

@@ -594,78 +594,17 @@ impl MetricsSink {
     /// mirror onto `ShardSpec` and removes this last caller.
     pub fn note_selection_cache_invalidations(&mut self, _n: u64) {}
 
-    /// Prometheus-style text exposition of every gauge and counter.
+    /// Prometheus-style text exposition: the summary's series
+    /// ([`MetricsSummary::prometheus_series`]), then the per-container
+    /// occupancy.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, value: f64| {
+        for (name, kind, help, value) in self.summary().prometheus_series() {
             let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "rispp_elapsed_cycles",
-            "Largest simulated timestamp seen.",
-            self.now as f64,
-        );
-        gauge(
-            "rispp_fabric_occupancy",
-            "Time-weighted fraction of container-cycles holding a usable Atom.",
-            self.fabric_occupancy(),
-        );
-        gauge(
-            "rispp_logic_utilization",
-            "Occupancy weighted by per-Atom logic utilisation (Table 1).",
-            self.logic_utilization(),
-        );
-        gauge(
-            "rispp_bus_busy_fraction",
-            "Fraction of time the single reconfiguration port was writing.",
-            self.bus_busy_fraction(),
-        );
-        gauge(
-            "rispp_forecast_precision",
-            "Fraction of forecast windows whose SI actually executed.",
-            self.forecast_precision(),
-        );
-        gauge(
-            "rispp_forecast_recall",
-            "Fraction of executions that were forecast when they happened.",
-            self.forecast_recall(),
-        );
-        // Absent (not zero) when the run monitored no FC outcomes.
-        if self.fc_outcomes > 0 {
-            gauge(
-                "rispp_fc_hit_rate",
-                "Fraction of monitored FC outcomes that were reached.",
-                self.fc_hit_rate(),
-            );
         }
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "rispp_rotations_completed_total",
-            "Completed rotations.",
-            self.rotations_completed,
-        );
-        counter(
-            "rispp_executions_total",
-            "SI executions observed.",
-            self.latency.count(),
-        );
-        counter(
-            "rispp_hw_executions_total",
-            "SI executions that ran in hardware.",
-            self.hw_executions,
-        );
-        counter(
-            "rispp_cycles_saved_vs_sw_total",
-            "Cycles saved by hardware executions vs the observed software baseline.",
-            self.cycles_saved,
-        );
         let _ = writeln!(
             out,
             "# HELP rispp_container_occupancy Per-container time-weighted occupancy."

@@ -85,8 +85,8 @@ pub mod prelude {
     pub use rispp_fabric::{AtomCatalog, Clock, ContainerId, Fabric};
     pub use rispp_h264::{EncoderConfig, Frame, SyntheticVideo};
     pub use rispp_obs::{
-        BinaryReader, BinarySink, CountersSink, Event, JsonlSink, MetricsSink, MetricsSummary,
-        NullSink, SinkHandle, SpanBuilder, StreamDecoder, Timeline, TimelineSink,
+        BinarySink, CountersSink, Event, JsonlSink, MetricsSink, MetricsSummary, NullSink,
+        SinkHandle, SpanBuilder, StreamDecoder, Timeline, TimelineSink,
     };
     pub use rispp_rt::{ManagerBuilder, RisppManager, TaskId};
     pub use rispp_sim::{

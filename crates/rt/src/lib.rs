@@ -12,8 +12,7 @@
 //!   retry-backoff governor for fabric faults;
 //! * [`stats`] — pure accumulation of execution, forecast and rotation
 //!   accounting;
-//! * [`policy`] — Atom-Container replacement policies picking rotation
-//!   victims;
+//! * [`policy`] — Atom-Container replacement: the rotation victim rule;
 //! * `dispatch` (internal) — each SI's fastest loaded Molecule and its
 //!   LRU touch set, cached until the fabric's loaded Atoms change;
 //! * [`manager`] — the imperative shell: the only layer that mutates the
@@ -50,7 +49,6 @@ pub type TaskId = u32;
 
 pub use forecast::ForecastStore;
 pub use manager::{ManagerBuilder, RisppManager};
-pub use policy::{LruSurplusPolicy, ReplacementPolicy};
 pub use rotation::{
     BackoffGovernor, PlannedUpgrade, RetryPolicy, RotationPlan, RotationSchedulePolicy,
     RotationStrategy,

@@ -13,7 +13,7 @@
 //! 3. **Scheduling** — rotations are (re)queued so the fabric converges to
 //!    the selected target Meta-Molecule, most-important SI first
 //!    ("Rotation in Advance", [`crate::rotation::RotationSchedulePolicy`]),
-//!    with victims chosen by a replacement policy.
+//!    with victims chosen by [`crate::policy::choose_victim`].
 //!
 //! The stages are pure: they map state to decision values. The manager is
 //! the only place those values become effects — every fabric mutation
@@ -33,7 +33,7 @@ use rispp_obs::{Event, ReselectTrigger, SinkHandle};
 use crate::command::{self, Command};
 use crate::dispatch::DispatchTable;
 use crate::forecast::ForecastStore;
-use crate::policy::{LruSurplusPolicy, ReplacementPolicy};
+use crate::policy;
 use crate::rotation::{BackoffGovernor, RotationPlan, RotationSchedulePolicy};
 use crate::selection::{SelectionPolicy, SelectionStage};
 use crate::stats::StatsLedger;
@@ -51,9 +51,8 @@ pub use builder::ManagerBuilder;
 /// The run-time manager tying the SI library, fabric and decision stages
 /// together.
 ///
-/// The type parameters select the three policies with static dispatch:
-/// `P` picks rotation victims ([`ReplacementPolicy`]), `S` chooses
-/// Molecules ([`SelectionPolicy`]) and `R` orders rotations
+/// The type parameters select two policies with static dispatch: `S`
+/// chooses Molecules ([`SelectionPolicy`]) and `R` orders rotations
 /// ([`RotationSchedulePolicy`]). The defaults are the paper's
 /// configuration.
 ///
@@ -87,10 +86,9 @@ pub use builder::ManagerBuilder;
 /// # Ok::<(), rispp_fabric::FabricError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct RisppManager<P = LruSurplusPolicy, S = GreedySelection, R = RotationStrategy> {
+pub struct RisppManager<S = GreedySelection, R = RotationStrategy> {
     lib: SiLibrary,
     fabric: Fabric,
-    policy: P,
     forecasts: ForecastStore,
     selector: SelectionStage<S>,
     scheduler: R,
@@ -104,7 +102,7 @@ pub struct RisppManager<P = LruSurplusPolicy, S = GreedySelection, R = RotationS
     sink: SinkHandle,
 }
 
-impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<P, S, R> {
+impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// Switches the adaptation goal (see [`PowerMode`]) and immediately
     /// re-selects under it. This is the one configuration knob that
     /// legitimately changes *during* a run (the paper's §1: the system
@@ -113,18 +111,6 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     pub fn adapt_power_mode(&mut self, mode: PowerMode) {
         self.selector.set_power_mode(mode);
         self.reselect(ReselectTrigger::PowerMode);
-    }
-
-    /// Tees an additional consumer into the structured-event stream of
-    /// both the manager and its fabric, keeping every sink installed so
-    /// far. Normally the sink is installed once via
-    /// [`ManagerBuilder::sink`]; this exists so a driver (e.g. the
-    /// simulation engine) can attach consumers to an already-built
-    /// manager.
-    pub fn tee_sink(&mut self, extra: SinkHandle) {
-        self.fabric
-            .set_sink(SinkHandle::tee(self.fabric.sink().clone(), extra.clone()));
-        self.sink = SinkHandle::tee(self.sink.clone(), extra);
     }
 
     /// Advances time, completing rotations and — when a
@@ -355,8 +341,8 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
     /// Executes a rotation plan: cancels queued-but-unstarted rotations
     /// (the port cannot abort an in-flight write), then walks the planned
     /// upgrade ladders, turning each missing Atom into a
-    /// [`Command::Rotate`] against a victim chosen by the replacement
-    /// policy. Kinds under failure backoff are skipped, not retried
+    /// [`Command::Rotate`] against a victim from
+    /// [`policy::choose_victim`]. Kinds under failure backoff are skipped, not retried
     /// early: the rest of each stage still loads.
     fn apply_plan(&mut self, plan: &RotationPlan) {
         command::apply(&mut self.fabric, &mut self.ledger, &Command::CancelPending)
@@ -378,7 +364,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
                     else {
                         break;
                     };
-                    let Some(victim) = self.policy.choose_victim(&self.fabric, &target) else {
+                    let Some(victim) = policy::choose_victim(&self.fabric, &target) else {
                         exhausted = true; // nothing evictable; stop scheduling
                         break;
                     };

@@ -8,20 +8,24 @@ use rispp_obs::SinkHandle;
 
 use crate::dispatch::DispatchTable;
 use crate::forecast::ForecastStore;
-use crate::policy::{LruSurplusPolicy, ReplacementPolicy};
 use crate::rotation::{BackoffGovernor, RetryPolicy, RotationSchedulePolicy, RotationStrategy};
 use crate::selection::{GreedySelection, PowerMode, SelectionPolicy, SelectionStage};
 use crate::stats::StatsLedger;
 
 use super::RisppManager;
 
+/// The forecast-smoothing factor λ: the weight of each new observation
+/// when monitoring fine-tunes a stored forecast.
+const SMOOTHING: f64 = 0.25;
+
 /// Step-by-step construction of a [`RisppManager`].
 ///
 /// Obtained from [`RisppManager::builder`]; every knob has the same
 /// default as the paper's configuration ([`PowerMode::Performance`],
-/// [`RotationStrategy::UpgradePath`], [`GreedySelection`], λ = 0.25,
-/// observability off), so `builder(lib, fabric).build()` is the common
-/// case and each method overrides exactly one aspect.
+/// [`RotationStrategy::UpgradePath`], [`GreedySelection`], observability
+/// off), so `builder(lib, fabric).build()` is the common case and each
+/// method overrides exactly one aspect. The event sink is chosen here
+/// and nowhere else: a built manager cannot gain another consumer.
 ///
 /// # Examples
 ///
@@ -40,56 +44,32 @@ use super::RisppManager;
 /// ];
 /// let fabric = Fabric::new(atom_set(), AtomCatalog::new(profiles), 4);
 /// let mgr = RisppManager::builder(lib, fabric)
-///     .rotation_strategy(RotationStrategy::TargetOnly)
-///     .smoothing(0.5)
+///     .schedule_policy(RotationStrategy::TargetOnly)
 ///     .build();
 /// assert_eq!(mgr.now(), 0);
 /// ```
 #[derive(Debug)]
-pub struct ManagerBuilder<P = LruSurplusPolicy, S = GreedySelection, R = RotationStrategy> {
+pub struct ManagerBuilder<S = GreedySelection, R = RotationStrategy> {
     lib: SiLibrary,
     fabric: Fabric,
-    policy: P,
     selection_policy: S,
     schedule_policy: R,
     power_mode: PowerMode,
-    lambda: f64,
     sink: SinkHandle,
-    retry_policy: RetryPolicy,
 }
 
-impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<P, S, R> {
-    /// Replaces the replacement policy (default:
-    /// [`LruSurplusPolicy`]). Changes the manager's type parameter.
-    #[must_use]
-    pub fn policy<Q: ReplacementPolicy>(self, policy: Q) -> ManagerBuilder<Q, S, R> {
-        ManagerBuilder {
-            lib: self.lib,
-            fabric: self.fabric,
-            policy,
-            selection_policy: self.selection_policy,
-            schedule_policy: self.schedule_policy,
-            power_mode: self.power_mode,
-            lambda: self.lambda,
-            sink: self.sink,
-            retry_policy: self.retry_policy,
-        }
-    }
-
+impl<S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<S, R> {
     /// Replaces the Molecule-selection policy (default:
     /// [`GreedySelection`]). Changes the manager's type parameter.
     #[must_use]
-    pub fn selection_policy<T: SelectionPolicy>(self, selection: T) -> ManagerBuilder<P, T, R> {
+    pub fn selection_policy<T: SelectionPolicy>(self, selection: T) -> ManagerBuilder<T, R> {
         ManagerBuilder {
             lib: self.lib,
             fabric: self.fabric,
-            policy: self.policy,
             selection_policy: selection,
             schedule_policy: self.schedule_policy,
             power_mode: self.power_mode,
-            lambda: self.lambda,
             sink: self.sink,
-            retry_policy: self.retry_policy,
         }
     }
 
@@ -97,41 +77,15 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
     /// [`RotationStrategy::UpgradePath`]). Changes the manager's type
     /// parameter.
     #[must_use]
-    pub fn schedule_policy<U: RotationSchedulePolicy>(
-        self,
-        schedule: U,
-    ) -> ManagerBuilder<P, S, U> {
+    pub fn schedule_policy<U: RotationSchedulePolicy>(self, schedule: U) -> ManagerBuilder<S, U> {
         ManagerBuilder {
             lib: self.lib,
             fabric: self.fabric,
-            policy: self.policy,
             selection_policy: self.selection_policy,
             schedule_policy: schedule,
             power_mode: self.power_mode,
-            lambda: self.lambda,
             sink: self.sink,
-            retry_policy: self.retry_policy,
         }
-    }
-
-    /// Sets the rotation scheduling strategy (default:
-    /// [`RotationStrategy::UpgradePath`]) — shorthand for
-    /// [`ManagerBuilder::schedule_policy`] with the built-in strategy
-    /// enum.
-    #[must_use]
-    pub fn rotation_strategy(
-        self,
-        strategy: RotationStrategy,
-    ) -> ManagerBuilder<P, S, RotationStrategy> {
-        self.schedule_policy(strategy)
-    }
-
-    /// Sets the bounded-retry policy for rotations that fail in the
-    /// fabric (default: [`RetryPolicy::default`]).
-    #[must_use]
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry_policy = retry;
-        self
     }
 
     /// Sets the initial adaptation goal (default:
@@ -143,22 +97,10 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
         self
     }
 
-    /// Sets the forecast-smoothing factor λ ∈ [0, 1] (weight of each new
-    /// observation; default 0.25).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lambda ∈ [0, 1]`.
-    #[must_use]
-    pub fn smoothing(mut self, lambda: f64) -> Self {
-        assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0, 1]");
-        self.lambda = lambda;
-        self
-    }
-
-    /// Installs a structured-event sink (default: disabled). The manager
-    /// shares the sink with its fabric, so rotation events and manager
-    /// events arrive interleaved at the same consumer.
+    /// Installs the structured-event sink (default: disabled). The
+    /// manager shares the sink with its fabric, so rotation events and
+    /// manager events arrive interleaved at the same consumer. Several
+    /// consumers go through one [`SinkHandle::tee`].
     #[must_use]
     pub fn sink(mut self, sink: SinkHandle) -> Self {
         self.sink = sink;
@@ -181,7 +123,7 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
     ///
     /// Panics if the library width differs from the fabric's Atom count.
     #[must_use]
-    pub fn build(self) -> RisppManager<P, S, R> {
+    pub fn build(self) -> RisppManager<S, R> {
         assert_eq!(
             self.lib.width(),
             self.fabric.atoms().len(),
@@ -194,12 +136,11 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Manage
         RisppManager {
             lib: self.lib,
             fabric,
-            policy: self.policy,
-            forecasts: ForecastStore::new(self.lambda),
+            forecasts: ForecastStore::new(SMOOTHING),
             selector: SelectionStage::new(self.selection_policy, self.power_mode),
             scheduler: self.schedule_policy,
             ledger,
-            backoff: BackoffGovernor::new(self.retry_policy),
+            backoff: BackoffGovernor::new(RetryPolicy::default()),
             dispatch,
             sink: self.sink,
         }
@@ -214,13 +155,10 @@ impl RisppManager {
         ManagerBuilder {
             lib,
             fabric,
-            policy: LruSurplusPolicy::new(),
             selection_policy: GreedySelection,
             schedule_policy: RotationStrategy::default(),
             power_mode: PowerMode::default(),
-            lambda: 0.25,
             sink: SinkHandle::null(),
-            retry_policy: RetryPolicy::default(),
         }
     }
 }

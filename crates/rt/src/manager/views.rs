@@ -10,14 +10,13 @@ use rispp_fabric::clock::Clock;
 use rispp_fabric::fabric::Fabric;
 use rispp_obs::SinkHandle;
 
-use crate::policy::ReplacementPolicy;
-use crate::rotation::{RetryPolicy, RotationSchedulePolicy};
+use crate::rotation::RotationSchedulePolicy;
 use crate::selection::SelectionPolicy;
 use crate::stats::{EnergyReport, FcStats, SiStats};
 
 use super::RisppManager;
 
-impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<P, S, R> {
+impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// The installed structured-event sink (disabled by default).
     #[must_use]
     pub fn sink(&self) -> &SinkHandle {
@@ -119,15 +118,10 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> RisppM
 
     /// Atom kinds currently barred from rotation by failure backoff —
     /// both those waiting out a delay and those parked after
-    /// [`RetryPolicy::max_attempts`] failures.
+    /// [`RetryPolicy::max_attempts`](crate::rotation::RetryPolicy::max_attempts)
+    /// failures.
     #[must_use]
     pub fn blocked_kinds(&self) -> Vec<AtomKind> {
         self.backoff.blocked_kinds(self.fabric.now())
-    }
-
-    /// The bounded-retry policy in effect.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.backoff.policy()
     }
 }

@@ -1,90 +1,66 @@
-//! Atom-Container replacement policies.
+//! Atom-Container replacement.
 //!
 //! When the run-time manager needs to rotate a new Atom in, it must pick a
 //! victim container. The paper's scenario (Fig. 6) reallocates containers
 //! whose Atoms the current selection no longer needs; among those, the
-//! least-recently-used Atom goes first.
+//! least-recently-used Atom goes first ([`choose_victim`]).
 
 use rispp_core::molecule::Molecule;
 use rispp_fabric::container::ContainerId;
 use rispp_fabric::fabric::Fabric;
 
-/// Strategy for choosing the container a new Atom is rotated into.
-pub trait ReplacementPolicy {
-    /// Picks a victim container for a new Atom, given the Meta-Molecule
-    /// `keep` of Atoms that must stay available. Containers with pending
-    /// rotations are never eligible. Returns `None` when every container
-    /// is either pending or protected.
-    fn choose_victim(&self, fabric: &Fabric, keep: &Molecule) -> Option<ContainerId>;
-}
-
-/// Default policy: empty containers first, then loaded containers whose
-/// Atom kind has surplus instances relative to `keep`, least-recently-used
-/// first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LruSurplusPolicy;
-
-impl LruSurplusPolicy {
-    /// Creates the policy.
-    #[must_use]
-    pub fn new() -> Self {
-        LruSurplusPolicy
-    }
-}
-
-impl ReplacementPolicy for LruSurplusPolicy {
-    fn choose_victim(&self, fabric: &Fabric, keep: &Molecule) -> Option<ContainerId> {
-        let mut pending = vec![false; fabric.num_containers()];
-        for (id, c) in fabric.iter_containers() {
-            if c.is_loading() {
-                pending[id.index()] = true;
-            }
-        }
-        // Queued-but-unstarted rotations also make a container ineligible:
-        // it already has a new Atom on the way.
-        for (id, _) in fabric.pending_rotations() {
+/// Picks the container a new Atom is rotated into, given the
+/// Meta-Molecule `keep` of Atoms that must stay available: an empty
+/// container first, then the least-recently-used container whose Atom
+/// kind has surplus instances relative to `keep`. Containers with a
+/// rotation in flight or queued are never eligible, nor are quarantined
+/// ones. Returns `None` when every container is pending or protected.
+#[must_use]
+pub fn choose_victim(fabric: &Fabric, keep: &Molecule) -> Option<ContainerId> {
+    let mut pending = vec![false; fabric.num_containers()];
+    for (id, c) in fabric.iter_containers() {
+        if c.is_loading() {
             pending[id.index()] = true;
         }
-        // Empty, non-pending containers are free wins. Quarantined
-        // containers also report no loaded Atom, but rotating into them
-        // is pointless — they reject every request.
-        for (id, c) in fabric.iter_containers() {
-            if !pending[id.index()]
-                && c.loaded_kind().is_none()
-                && !c.is_loading()
-                && !c.is_quarantined()
-            {
-                return Some(id);
-            }
-        }
-        // Count surplus per kind: loaded instances beyond what `keep`
-        // requires.
-        let loaded = fabric.loaded_molecule();
-        let mut surplus: Vec<i64> = loaded
-            .iter()
-            .map(|(k, have)| i64::from(have) - i64::from(keep.count(k)))
-            .collect();
-        // LRU among surplus-kind containers.
-        let mut candidates: Vec<(u64, ContainerId)> = fabric
-            .iter_containers()
-            .filter_map(|(id, c)| {
-                let kind = c.loaded_kind()?;
-                if pending[id.index()] || surplus[kind.index()] <= 0 {
-                    None
-                } else {
-                    Some((c.last_used(), id))
-                }
-            })
-            .collect();
-        candidates.sort_unstable_by_key(|&(used, id)| (used, id));
-        let victim = candidates.first().map(|&(_, id)| id);
-        if let Some(id) = victim {
-            if let Some(kind) = fabric.container(id).loaded_kind() {
-                surplus[kind.index()] -= 1;
-            }
-        }
-        victim
     }
+    // Queued-but-unstarted rotations also make a container ineligible:
+    // it already has a new Atom on the way.
+    for (id, _) in fabric.pending_rotations() {
+        pending[id.index()] = true;
+    }
+    // Empty, non-pending containers are free wins. Quarantined
+    // containers also report no loaded Atom, but rotating into them is
+    // pointless — they reject every request.
+    for (id, c) in fabric.iter_containers() {
+        if !pending[id.index()]
+            && c.loaded_kind().is_none()
+            && !c.is_loading()
+            && !c.is_quarantined()
+        {
+            return Some(id);
+        }
+    }
+    // Count surplus per kind: loaded instances beyond what `keep`
+    // requires.
+    let loaded = fabric.loaded_molecule();
+    let surplus: Vec<i64> = loaded
+        .iter()
+        .map(|(k, have)| i64::from(have) - i64::from(keep.count(k)))
+        .collect();
+    // LRU among surplus-kind containers.
+    let mut candidates: Vec<(u64, ContainerId)> = fabric
+        .iter_containers()
+        .filter_map(|(id, c)| {
+            let kind = c.loaded_kind()?;
+            if pending[id.index()] || surplus[kind.index()] <= 0 {
+                None
+            } else {
+                Some((c.last_used(), id))
+            }
+        })
+        .collect();
+    candidates.sort_unstable_by_key(|&(used, id)| (used, id));
+    candidates.first().map(|&(_, id)| id)
 }
 
 #[cfg(test)]
@@ -115,7 +91,7 @@ mod tests {
         let mut f = fabric(3);
         load(&mut f, 0, 0);
         let keep = Molecule::zero(4);
-        let victim = LruSurplusPolicy.choose_victim(&f, &keep).unwrap();
+        let victim = choose_victim(&f, &keep).unwrap();
         assert_ne!(victim, ContainerId(0)); // 0 holds an atom; 1/2 empty
     }
 
@@ -127,10 +103,7 @@ mod tests {
         // Keep requires one Transform (kind 0): only container 1 (SATD)
         // has surplus.
         let keep = Molecule::from_counts([1, 0, 0, 0]);
-        assert_eq!(
-            LruSurplusPolicy.choose_victim(&f, &keep),
-            Some(ContainerId(1))
-        );
+        assert_eq!(choose_victim(&f, &keep), Some(ContainerId(1)));
     }
 
     #[test]
@@ -144,10 +117,7 @@ mod tests {
         // stamp, so container 1 is the LRU victim.
         f.touch_atoms(&Molecule::from_counts([1, 0, 0, 0]));
         let keep = Molecule::from_counts([1, 0, 0, 0]); // one surplus Transform
-        assert_eq!(
-            LruSurplusPolicy.choose_victim(&f, &keep),
-            Some(ContainerId(1))
-        );
+        assert_eq!(choose_victim(&f, &keep), Some(ContainerId(1)));
     }
 
     #[test]
@@ -156,7 +126,7 @@ mod tests {
         load(&mut f, 0, 0);
         load(&mut f, 1, 1);
         let keep = Molecule::from_counts([1, 1, 0, 0]);
-        assert_eq!(LruSurplusPolicy.choose_victim(&f, &keep), None);
+        assert_eq!(choose_victim(&f, &keep), None);
     }
 
     #[test]
@@ -176,13 +146,10 @@ mod tests {
         // Only the surplus SATD in AC2 is evictable — never AC1, even
         // though it reports no loaded Atom.
         let keep = Molecule::from_counts([1, 0, 0, 0]);
-        assert_eq!(
-            LruSurplusPolicy.choose_victim(&f, &keep),
-            Some(ContainerId(2))
-        );
+        assert_eq!(choose_victim(&f, &keep), Some(ContainerId(2)));
         // With every healthy Atom protected there is no victim at all.
         let keep_all = Molecule::from_counts([1, 1, 0, 0]);
-        assert_eq!(LruSurplusPolicy.choose_victim(&f, &keep_all), None);
+        assert_eq!(choose_victim(&f, &keep_all), None);
     }
 
     #[test]
@@ -192,9 +159,6 @@ mod tests {
         f.request_rotation(ContainerId(1), AtomKind(2)).unwrap(); // in flight
         let keep = Molecule::zero(4);
         // Only container 0 is eligible (1 is loading).
-        assert_eq!(
-            LruSurplusPolicy.choose_victim(&f, &keep),
-            Some(ContainerId(0))
-        );
+        assert_eq!(choose_victim(&f, &keep), Some(ContainerId(0)));
     }
 }

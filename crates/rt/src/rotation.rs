@@ -215,12 +215,6 @@ impl BackoffGovernor {
         }
     }
 
-    /// The bounded-retry policy in effect.
-    #[must_use]
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Records one failed rotation of `kind` at cycle `at` and computes
     /// the cycle until which that kind must not be re-requested.
     pub fn note_failure(&mut self, kind: AtomKind, at: u64, clock: &Clock) {

@@ -48,8 +48,7 @@ pub enum PowerMode {
 
 /// How Molecules are selected from the weighted demands.
 ///
-/// Mirrors [`ReplacementPolicy`](crate::policy::ReplacementPolicy): a
-/// small strategy trait with static dispatch, so swapping the selector
+/// A small strategy trait with static dispatch, so swapping the selector
 /// changes the manager's type parameter instead of adding a branch to the
 /// hot path.
 pub trait SelectionPolicy {

@@ -15,7 +15,7 @@ use rispp_core::si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
 use rispp_fabric::fabric::{Fabric, FabricEvent};
 use rispp_obs::{Event, ReselectTrigger, SinkHandle};
-use rispp_rt::manager::{PowerMode, RisppManager, RotationStrategy};
+use rispp_rt::manager::{PowerMode, RetryPolicy, RisppManager, RotationStrategy};
 
 /// Two-kind platform with fast, equal rotation times for readability.
 fn small_platform() -> (SiLibrary, Fabric, SiId, SiId) {
@@ -190,7 +190,7 @@ fn target_only_strategy_delays_first_hw_execution() {
     let first_hw_at = |strategy: RotationStrategy| {
         let (lib, fabric, s0, _) = small_platform();
         let mut mgr = RisppManager::builder(lib, fabric)
-            .rotation_strategy(strategy)
+            .schedule_policy(strategy)
             .build();
         mgr.forecast(0, fv(s0, 100.0));
         let mut t = 0u64;
@@ -284,13 +284,6 @@ fn cancelled_rotations_are_not_billed() {
     assert!(mgr.rotation_bytes() <= after_first);
     assert!(mgr.rotation_bytes() <= 6_920, "{}", mgr.rotation_bytes());
     let _ = s1;
-}
-
-#[test]
-#[should_panic(expected = "lambda")]
-fn smoothing_out_of_range_rejected() {
-    let (lib, fabric, ..) = small_platform();
-    let _ = RisppManager::builder(lib, fabric).smoothing(1.5).build();
 }
 
 #[test]
@@ -478,7 +471,7 @@ fn kind_parks_after_max_attempts_and_degrades_to_software() {
             .count();
         assert!(mgr.execute_si(0, s0).cycles > 0);
     }
-    let max = mgr.retry_policy().max_attempts as usize;
+    let max = RetryPolicy::default().max_attempts as usize;
     assert!(
         failures >= max,
         "kind parked too early: {failures} failures"
@@ -598,7 +591,7 @@ fn rotations_are_planned_only_when_the_fabric_must_move() {
     /// Drives one fixed script and returns its event timeline plus the
     /// value of `plans()` after every step.
     fn script<R: RotationSchedulePolicy>(
-        builder: ManagerBuilder<rispp_rt::LruSurplusPolicy, rispp_rt::GreedySelection, R>,
+        builder: ManagerBuilder<rispp_rt::GreedySelection, R>,
         s0: SiId,
         s1: SiId,
         plans: &dyn Fn() -> u32,
@@ -643,7 +636,7 @@ fn rotations_are_planned_only_when_the_fabric_must_move() {
     assert_eq!(plans, [1, 1, 1, 1, 1, 1, 1, 2]);
 
     let (lib, fabric, s0, s1) = small_platform();
-    let plain = RisppManager::builder(lib, fabric).rotation_strategy(RotationStrategy::UpgradePath);
+    let plain = RisppManager::builder(lib, fabric).schedule_policy(RotationStrategy::UpgradePath);
     let (expected, _) = script(plain, s0, s1, &|| 0);
     assert_eq!(counted, expected);
     assert!(counted

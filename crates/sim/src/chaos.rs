@@ -24,13 +24,15 @@
 //! must equal the fault-free run's, and the Fig. 6 scenario must execute
 //! exactly the same SI stream.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 use rispp_core::atom::AtomKind;
 use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::FaultPlan;
-use rispp_obs::{Event, EventSink, SinkHandle, SpanBuilder, Timeline};
+use rispp_obs::{Event, EventSink, SinkHandle, SpanBuilder, Timeline, TimelineSink};
 
 use crate::codec_runner::CodecRunOutcome;
 use crate::spec::{Scenario, ShardSpec, SinkSpec};
@@ -307,22 +309,25 @@ pub struct Fig6ChaosOutcome {
 }
 
 /// Runs the Fig. 6 scenario under `plan` and audits the timeline. Pass
-/// [`FaultPlan::none`] for the fault-free baseline; `export` tees an
-/// extra sink (e.g. a [`JsonlSink`](rispp_obs::JsonlSink)) into the run.
+/// [`FaultPlan::none`] for the fault-free baseline; `export` receives
+/// every event beside the audited timeline (e.g. a
+/// [`JsonlSink`](rispp_obs::JsonlSink)).
 #[must_use]
 pub fn run_fig6_chaos(plan: &FaultPlan, export: Option<SinkHandle>) -> Fig6ChaosOutcome {
+    let timeline = Rc::new(RefCell::new(TimelineSink::new()));
+    let sink = SinkHandle::tee(
+        SinkHandle::shared(timeline.clone()),
+        export.unwrap_or_else(SinkHandle::null),
+    );
     let (mut engine, _sis) = ShardSpec::new(Scenario::Fig6, 0)
         .with_faults(plan.clone())
-        .build_fig6();
-    if let Some(sink) = export {
-        engine.attach_sink(sink);
-    }
+        .build_fig6(sink);
     let end = engine.run(100_000);
-    let lib = engine.manager().library().clone();
-    let timeline = engine.timeline();
+    let lib = engine.manager().library();
+    let timeline = timeline.borrow();
     Fig6ChaosOutcome {
-        report: ChaosReport::from_timeline("fig6", plan, &timeline, &lib, end),
-        exec_counts: execution_counts(&timeline),
+        report: ChaosReport::from_timeline("fig6", plan, timeline.timeline(), lib, end),
+        exec_counts: execution_counts(timeline.timeline()),
     }
 }
 

@@ -20,7 +20,6 @@
 use rispp_core::forecast::ForecastValue;
 use rispp_core::si::SiId;
 use rispp_rt::manager::{RisppManager, TaskId};
-use rispp_rt::policy::ReplacementPolicy;
 
 /// A register index (0..32). Register 0 is hard-wired to zero, as in MIPS
 /// and DLX.
@@ -222,10 +221,10 @@ impl Cpu {
     /// Runs `program` on this core, dispatching SIs and forecasts through
     /// `manager` (as task `task`), until `Halt`, program end, or
     /// `max_instructions`.
-    pub fn run<P: ReplacementPolicy>(
+    pub fn run(
         &mut self,
         program: &[Instr],
-        manager: &mut RisppManager<P>,
+        manager: &mut RisppManager,
         task: TaskId,
         max_instructions: u64,
     ) -> RunSummary {

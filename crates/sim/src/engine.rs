@@ -3,20 +3,15 @@
 //!
 //! Tasks interleave round-robin at operation granularity on a single core;
 //! rotations proceed concurrently on the fabric's reconfiguration port.
-//! Every event is emitted at its source (fabric, manager) into the
-//! engine's [`TimelineSink`]; additional consumers tee in via
-//! [`Engine::attach_sink`].
+//! Every event is emitted at its source (fabric, manager) into the sink
+//! the manager was built with
+//! ([`ManagerBuilder::sink`](rispp_rt::manager::ManagerBuilder::sink));
+//! the engine keeps none of its own.
 
-use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use rispp_core::si::SiId;
-use rispp_obs::{MetricsSink, MetricsSummary, SinkHandle, Timeline, TimelineSink};
 use rispp_rt::manager::{RisppManager, TaskId};
-use rispp_rt::policy::ReplacementPolicy;
-use rispp_rt::rotation::{RotationSchedulePolicy, RotationStrategy};
-use rispp_rt::selection::{GreedySelection, SelectionPolicy};
 
 use crate::task::{Op, ProgramCursor, Task};
 
@@ -35,67 +30,25 @@ struct FcWatch {
 }
 
 /// The engine: a [`RisppManager`] plus a set of tasks.
-///
-/// The type parameters mirror the manager's: `P` picks rotation victims,
-/// `S` selects Molecules and `R` orders rotations; the defaults are the
-/// paper's configuration.
-pub struct Engine<P: ReplacementPolicy, S = GreedySelection, R = RotationStrategy> {
-    manager: RisppManager<P, S, R>,
+pub struct Engine {
+    manager: RisppManager,
     tasks: Vec<TaskState>,
-    /// The engine's own event consumer, teed into whatever sink the
-    /// manager was built with.
-    timeline: Rc<RefCell<TimelineSink>>,
-    /// Derived time-weighted gauges, fed by the same tee as the timeline
-    /// and pre-configured with the fabric's container count and Atom
-    /// utilisation weights.
-    metrics: Rc<RefCell<MetricsSink>>,
     /// Monitoring enabled: observed FC outcomes feed back into the
     /// manager's forecast values (run-time task (a) of the paper).
     monitoring: bool,
     watches: BTreeMap<(TaskId, usize), FcWatch>,
 }
 
-impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine<P, S, R> {
+impl Engine {
     /// Creates an engine around a manager (FC monitoring disabled).
-    ///
-    /// The engine tees its own [`TimelineSink`] into the manager's
-    /// installed sink, so a sink configured via
-    /// [`ManagerBuilder::sink`](rispp_rt::manager::ManagerBuilder::sink)
-    /// keeps receiving every event alongside the engine's timeline.
     #[must_use]
-    pub fn new(mut manager: RisppManager<P, S, R>) -> Self {
-        let timeline = Rc::new(RefCell::new(TimelineSink::new()));
-        let fabric = manager.fabric();
-        let metrics = Rc::new(RefCell::new(
-            MetricsSink::new()
-                .with_containers(fabric.num_containers())
-                .with_utilization_weights(
-                    fabric
-                        .catalog()
-                        .iter()
-                        .map(|(_, p)| p.utilization())
-                        .collect(),
-                ),
-        ));
-        manager.tee_sink(SinkHandle::tee(
-            SinkHandle::shared(timeline.clone()),
-            SinkHandle::shared(metrics.clone()),
-        ));
+    pub fn new(manager: RisppManager) -> Self {
         Engine {
             manager,
             tasks: Vec::new(),
-            timeline,
-            metrics,
             monitoring: false,
             watches: BTreeMap::new(),
         }
-    }
-
-    /// Tees one more consumer into the event stream (e.g. a
-    /// [`JsonlSink`](rispp_obs::JsonlSink) or a
-    /// [`BinarySink`](rispp_obs::BinarySink) exporting the run).
-    pub fn attach_sink(&mut self, sink: SinkHandle) {
-        self.manager.tee_sink(sink);
     }
 
     /// Enables FC monitoring: each forecast is watched until the SI is
@@ -131,39 +84,9 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
         self.tasks.push(TaskState { task, cursor });
     }
 
-    /// The recorded event timeline.
-    ///
-    /// Borrows from the engine's shared sink; drop the returned guard
-    /// before running the engine again.
-    #[must_use]
-    pub fn timeline(&self) -> Ref<'_, Timeline> {
-        Ref::map(self.timeline.borrow(), TimelineSink::timeline)
-    }
-
-    /// The derived time-weighted gauges, live alongside the timeline.
-    ///
-    /// Borrows from the engine's shared sink; drop the returned guard
-    /// before running the engine again. Forecast-accuracy figures only
-    /// include settled windows — use [`Engine::finish_metrics`] after the
-    /// run for the complete picture.
-    #[must_use]
-    pub fn metrics(&self) -> Ref<'_, MetricsSink> {
-        self.metrics.borrow()
-    }
-
-    /// Settles the metrics at the current simulation time — advances the
-    /// gauges' horizon to `now` and closes still-open forecast windows —
-    /// and returns the summary. Idempotent; call after [`Engine::run`].
-    pub fn finish_metrics(&mut self) -> MetricsSummary {
-        let mut m = self.metrics.borrow_mut();
-        m.advance_to(self.manager.now());
-        m.finish();
-        m.summary()
-    }
-
     /// The manager (for inspection after a run).
     #[must_use]
-    pub fn manager(&self) -> &RisppManager<P, S, R> {
+    pub fn manager(&self) -> &RisppManager {
         &self.manager
     }
 
@@ -259,8 +182,8 @@ impl<P: ReplacementPolicy, S: SelectionPolicy, R: RotationSchedulePolicy> Engine
     }
 
     fn advance(&mut self, cycles: u64) {
-        // Rotation events reach the timeline straight from the fabric's
-        // sink; the legacy per-advance event list is dropped here.
+        // Rotation events reach the sink straight from the fabric; the
+        // per-advance event list is dropped here.
         let t = self.manager.now() + cycles;
         let _ = self.manager.advance_to(t).expect("engine time is monotone");
     }
@@ -276,8 +199,13 @@ mod tests {
     use rispp_core::si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
     use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
     use rispp_fabric::fabric::Fabric;
+    use rispp_obs::{MetricsSink, SinkHandle, TimelineSink};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    fn setup() -> (RisppManager, SiId) {
+    /// An engine over a one-SI, two-container platform whose manager
+    /// feeds `sink`.
+    fn setup(sink: SinkHandle) -> (Engine, SiId) {
         let atoms = AtomSet::from_names(["A", "B"]);
         let catalog = AtomCatalog::new(vec![
             AtomHwProfile::new("A", 100, 200, 6_920),
@@ -295,13 +223,20 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        (RisppManager::builder(lib, fabric).build(), si)
+        let manager = RisppManager::builder(lib, fabric).sink(sink).build();
+        (Engine::new(manager), si)
+    }
+
+    /// [`setup`] recording into a timeline.
+    fn traced() -> (Engine, SiId, Rc<RefCell<TimelineSink>>) {
+        let timeline = Rc::new(RefCell::new(TimelineSink::new()));
+        let (engine, si) = setup(SinkHandle::shared(timeline.clone()));
+        (engine, si, timeline)
     }
 
     #[test]
     fn forecast_then_loop_upgrades_to_hardware() {
-        let (mgr, si) = setup();
-        let mut engine = Engine::new(mgr);
+        let (mut engine, si, timeline) = traced();
         engine.add_task(Task::new(
             0,
             "worker",
@@ -314,7 +249,8 @@ mod tests {
             ],
         ));
         engine.run(1_000);
-        let trace = engine.timeline();
+        let sink = timeline.borrow();
+        let trace = sink.timeline();
         let execs: Vec<(u64, u64, bool)> = trace.executions(0, si).collect();
         assert_eq!(execs.len(), 40);
         // Early executions are software, later ones hardware.
@@ -328,8 +264,12 @@ mod tests {
 
     #[test]
     fn metrics_track_the_run_alongside_the_timeline() {
-        let (mgr, si) = setup();
-        let mut engine = Engine::new(mgr);
+        let timeline = Rc::new(RefCell::new(TimelineSink::new()));
+        let metrics = Rc::new(RefCell::new(MetricsSink::new().with_containers(2)));
+        let (mut engine, si) = setup(SinkHandle::tee(
+            SinkHandle::shared(timeline.clone()),
+            SinkHandle::shared(metrics.clone()),
+        ));
         engine.add_task(Task::new(
             0,
             "worker",
@@ -341,8 +281,11 @@ mod tests {
                 },
             ],
         ));
-        engine.run(1_000);
-        let summary = engine.finish_metrics();
+        let end = engine.run(1_000);
+        let mut metrics = metrics.borrow_mut();
+        metrics.advance_to(end);
+        metrics.finish();
+        let summary = metrics.summary();
         assert_eq!(summary.rotations_completed, 2);
         assert_eq!(summary.executions_total, 40);
         assert!(summary.hw_fraction > 0.0);
@@ -356,14 +299,16 @@ mod tests {
         assert_eq!(summary.forecast_windows, 1);
         assert!((summary.forecast_precision - 1.0).abs() < 1e-12);
         // The gauges saw the same stream as the timeline.
-        let (_, completed) = engine.metrics().rotations();
-        assert_eq!(completed as usize, engine.timeline().rotations_completed());
+        let (_, completed) = metrics.rotations();
+        assert_eq!(
+            completed as usize,
+            timeline.borrow().timeline().rotations_completed()
+        );
     }
 
     #[test]
     fn tasks_interleave_round_robin() {
-        let (mgr, si) = setup();
-        let mut engine = Engine::new(mgr);
+        let (mut engine, si, timeline) = traced();
         for id in 0..2 {
             engine.add_task(Task::new(
                 id,
@@ -375,8 +320,9 @@ mod tests {
             ));
         }
         engine.run(100);
-        let a: Vec<u64> = engine.timeline().executions(0, si).map(|e| e.0).collect();
-        let b: Vec<u64> = engine.timeline().executions(1, si).map(|e| e.0).collect();
+        let sink = timeline.borrow();
+        let a: Vec<u64> = sink.timeline().executions(0, si).map(|e| e.0).collect();
+        let b: Vec<u64> = sink.timeline().executions(1, si).map(|e| e.0).collect();
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 3);
         // Interleaved: each of task 1's executions falls between task 0's.
@@ -385,8 +331,7 @@ mod tests {
 
     #[test]
     fn plain_ops_advance_time() {
-        let (mgr, _) = setup();
-        let mut engine = Engine::new(mgr);
+        let (mut engine, _) = setup(SinkHandle::null());
         engine.add_task(Task::new(0, "t", vec![Op::Plain(123), Op::Plain(77)]));
         let end = engine.run(100);
         assert_eq!(end, 200);
@@ -394,8 +339,7 @@ mod tests {
 
     #[test]
     fn monitoring_records_hits_and_misses() {
-        let (mgr, si) = setup();
-        let mut engine = Engine::new(mgr);
+        let (mut engine, si) = setup(SinkHandle::null());
         engine.enable_monitoring();
         let fv = || ForecastValue::new(si, 0.9, 30_000.0, 5.0);
         engine.add_task(Task::new(
@@ -426,12 +370,11 @@ mod tests {
         // Task 0 keeps forecasting but never executes; task 1 both
         // forecasts and executes. With monitoring, task 0's probability
         // decays until task 1's demand owns the containers.
-        let (mgr, si) = setup();
+        let (mut engine, si) = setup(SinkHandle::null());
         // A second SI on the same two Atom kinds but needing both atoms
         // differently is unnecessary — contention comes from capacity 2
         // with a (1,1) molecule; both demands want the same atoms, so the
         // adaptation shows up in the manager's forecast bookkeeping.
-        let mut engine = Engine::new(mgr);
         engine.enable_monitoring();
         let body = vec![
             Op::Forecast(ForecastValue::new(si, 1.0, 30_000.0, 50.0)),
@@ -448,8 +391,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_steps")]
     fn runaway_program_is_caught() {
-        let (mgr, _) = setup();
-        let mut engine = Engine::new(mgr);
+        let (mut engine, _) = setup(SinkHandle::null());
         engine.add_task(Task::new(
             0,
             "t",

@@ -57,7 +57,8 @@ pub use spec::{
 };
 pub use task::{Op, ProgramCursor, Task};
 pub use waveform::{container_timelines, render_waveform, ContainerTimeline, Occupancy};
-// Event types live in `rispp-obs` now; re-exported so simulator users can
-// query an [`Engine`]'s timeline without naming the obs crate directly.
+// Event types live in `rispp-obs`; re-exported so simulator users can
+// record and query a run's timeline without naming the obs crate
+// directly.
 pub use rispp_fabric::clock::Clock;
-pub use rispp_obs::{BinaryReader, BinarySink, Event, Record, Timeline, TimelineSink};
+pub use rispp_obs::{BinarySink, Event, Record, Timeline, TimelineSink};

@@ -22,9 +22,9 @@
 use rispp_core::forecast::ForecastValue;
 use rispp_fabric::catalog::{table1_profiles, AtomCatalog};
 use rispp_fabric::fabric::Fabric;
-use rispp_h264::si_library::{atom_set, H264Sis};
+use rispp_h264::si_library::{atom_set, build_library, H264Sis};
 
-use crate::spec::{Scenario, ShardSpec};
+use crate::spec::{Scenario, ShardSpec, SinkSpec};
 use crate::task::{Op, Task};
 
 /// Builds a fabric over the H.264 Atom set with Table 1 hardware profiles
@@ -127,9 +127,11 @@ pub struct Fig6Report {
 /// Runs the scenario and distils the report.
 #[must_use]
 pub fn run_fig6() -> Fig6Report {
-    let (mut engine, sis) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
-    let end = engine.run(100_000);
-    let trace = engine.timeline();
+    let out = ShardSpec::new(Scenario::Fig6, 0)
+        .with_sink(SinkSpec::Timeline)
+        .run();
+    let (end, trace) = (out.sim_cycles, out.timeline.expect("timeline captured"));
+    let (_, sis) = build_library();
     let t1 = trace
         .forecast_time(1, sis.dct_4x4)
         .expect("task B forecasts DCT");

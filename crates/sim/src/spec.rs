@@ -37,7 +37,6 @@ use rispp_obs::{
     Timeline, TimelineSink,
 };
 use rispp_rt::manager::RisppManager;
-use rispp_rt::policy::LruSurplusPolicy;
 use rispp_rt::selection::PowerMode;
 
 use crate::codec_runner::{run_live_encoder, CodecRunOutcome};
@@ -140,8 +139,7 @@ impl Scenario {
 pub enum SinkSpec {
     /// No sinks — the fastest setting, for timed benchmark reps. The
     /// outcome carries the simulated cycles; its event count, latency
-    /// histogram and summary are zero and default, except under
-    /// [`Scenario::Fig6`], whose engine folds its own events.
+    /// histogram and summary are zero and default.
     Null,
     /// One [`MetricsSink`] (the fleet default): the outcome carries its
     /// [`MetricsSummary`], event count and all-SI latency histogram.
@@ -240,16 +238,16 @@ impl ShardSpec {
     /// Builds the ready-to-run Fig. 6 engine this spec describes — six
     /// Atom Containers over the H.264 Atoms with the spec's fault plan
     /// and power mode, running Task A (video codec, SATD_4x4) and Task B
-    /// (SI0 = SAD_4x4, SI1 = DCT_4x4). It is the construction half of the
-    /// API, for callers that need the live engine (the chaos harness
-    /// attaches its own bounded-tail sinks, the fig06 binary renders
-    /// waveforms from it).
+    /// (SI0 = SAD_4x4, SI1 = DCT_4x4) — with every event going to
+    /// `sink`. It is the construction half of the API, for callers that
+    /// need the live engine (the chaos harness feeds its own
+    /// bounded-tail sinks, tests inspect the manager after the run).
     ///
     /// # Panics
     ///
     /// Panics when the spec's scenario is not [`Scenario::Fig6`].
     #[must_use]
-    pub fn build_fig6(&self) -> (Engine<LruSurplusPolicy>, H264Sis) {
+    pub fn build_fig6(&self, sink: SinkHandle) -> (Engine, H264Sis) {
         assert_eq!(
             self.scenario,
             Scenario::Fig6,
@@ -259,6 +257,7 @@ impl ShardSpec {
         let fabric = h264_fabric(6).with_faults(self.faults.clone());
         let manager = RisppManager::builder(lib, fabric)
             .power_mode(self.power_mode)
+            .sink(sink)
             .build();
         let mut engine = Engine::new(manager);
         for task in fig6_tasks(&sis) {
@@ -273,13 +272,21 @@ impl ShardSpec {
     /// builds its sinks here; the benchmark's traced mirror of `run` is
     /// the next caller (ROADMAP item 1(a)).
     ///
-    /// There is no metrics sink under [`SinkSpec::Null`], and none for
-    /// [`Scenario::Fig6`], whose engine folds its own.
+    /// There is no metrics sink under [`SinkSpec::Null`]. Fig. 6's
+    /// weighs each Atom by its Table 1 logic utilisation.
     #[must_use]
     pub fn sink_set(&self) -> SinkSet {
         let metrics = match self.scenario {
-            Scenario::Fig6 => None,
             _ if self.sink == SinkSpec::Null => None,
+            Scenario::Fig6 => {
+                let fabric = h264_fabric(6);
+                let weights = fabric.catalog().iter().map(|(_, p)| p.utilization());
+                Some(
+                    MetricsSink::new()
+                        .with_containers(6)
+                        .with_utilization_weights(weights.collect()),
+                )
+            }
             Scenario::Stress { .. } => Some(MetricsSink::new()),
             Scenario::LiveCodec { containers, .. } => {
                 Some(MetricsSink::new().with_containers(containers))
@@ -313,20 +320,10 @@ impl ShardSpec {
     }
 
     fn run_fig6(&self) -> ShardOutcome {
-        let (mut engine, _sis) = self.build_fig6();
         let sinks = self.sink_set();
-        engine.attach_sink(sinks.handle());
-        let end = engine.run(100_000);
-        let summary = engine.finish_metrics();
-        let metrics = engine.metrics();
-        let (events, latency) = (metrics.events(), metrics.latency().clone());
-        drop(metrics);
-        drop(engine);
+        let end = self.build_fig6(sinks.handle()).0.run(100_000);
         ShardOutcome {
-            events,
             sim_cycles: end,
-            summary,
-            latency,
             ..sinks.finish(end)
         }
     }
@@ -441,8 +438,7 @@ pub struct ShardOutcome {
     /// The spec's seed (for standalone replay).
     pub seed: u64,
     /// Events emitted, of every kind, as the run's [`MetricsSink`]
-    /// counted them (zero under [`SinkSpec::Null`], except for
-    /// [`Scenario::Fig6`], whose engine always folds its events).
+    /// counted them (zero under [`SinkSpec::Null`]).
     pub events: u64,
     /// Simulated cycles covered (summed over stress platforms).
     pub sim_cycles: u64,
@@ -504,9 +500,8 @@ fn unshared<S>(sink: Rc<RefCell<S>>) -> S {
 }
 
 /// The sinks one run feeds, built by [`ShardSpec::sink_set`]: a
-/// [`MetricsSink`] (absent under [`SinkSpec::Null`] and for
-/// [`Scenario::Fig6`]), at most one [`SinkSpec`] capture, and the
-/// [`ShardSpec::bin_path`] file.
+/// [`MetricsSink`] (absent under [`SinkSpec::Null`]), at most one
+/// [`SinkSpec`] capture, and the [`ShardSpec::bin_path`] file.
 #[derive(Debug)]
 pub struct SinkSet {
     scenario: &'static str,

@@ -5,8 +5,12 @@
 //! events: a container is *loading* between `RotationStarted` and
 //! `RotationCompleted`, holds the written Atom afterwards, and its
 //! previous content disappears at the rotation start (matching the fabric
-//! semantics). Because the [`Timeline`] can come from a replayed JSONL
-//! export just as well as from a live run, the same renderer serves both.
+//! semantics). A failed rotation (`RotationFailed`) or a fault that
+//! destroys the Atom (`ContainerEvicted`) leaves the container empty; an
+//! overwrite's eviction is followed in the same cycle by its
+//! `RotationStarted`, so it never shows. Because the [`Timeline`] can
+//! come from a replayed JSONL export just as well as from a live run, the
+//! same renderer serves both.
 
 use rispp_core::atom::{AtomKind, AtomSet};
 use rispp_obs::{Event, Timeline};
@@ -14,7 +18,8 @@ use rispp_obs::{Event, Timeline};
 /// Occupancy of one container during one time span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Occupancy {
-    /// Nothing loaded yet.
+    /// Nothing loaded: not yet, or the last rotation failed, or a fault
+    /// evicted the Atom.
     Empty,
     /// A rotation is writing this Atom.
     Loading(AtomKind),
@@ -50,18 +55,16 @@ impl ContainerTimeline {
 pub fn container_timelines(timeline: &Timeline, containers: usize) -> Vec<ContainerTimeline> {
     let mut timelines = vec![ContainerTimeline::default(); containers];
     for record in timeline.entries() {
-        match record.event {
-            Event::RotationStarted { container, kind } => {
-                if let Some(t) = timelines.get_mut(container as usize) {
-                    t.changes.push((record.at, Occupancy::Loading(kind)));
-                }
+        let (container, occupancy) = match record.event {
+            Event::RotationStarted { container, kind } => (container, Occupancy::Loading(kind)),
+            Event::RotationCompleted { container, kind } => (container, Occupancy::Loaded(kind)),
+            Event::RotationFailed { container, .. } | Event::ContainerEvicted { container, .. } => {
+                (container, Occupancy::Empty)
             }
-            Event::RotationCompleted { container, kind } => {
-                if let Some(t) = timelines.get_mut(container as usize) {
-                    t.changes.push((record.at, Occupancy::Loaded(kind)));
-                }
-            }
-            _ => {}
+            _ => continue,
+        };
+        if let Some(t) = timelines.get_mut(container as usize) {
+            t.changes.push((record.at, occupancy));
         }
     }
     timelines
@@ -109,14 +112,51 @@ pub fn render_waveform(
 mod tests {
     use super::*;
     use crate::scenario::h264_fabric;
-    use crate::spec::{Scenario, ShardSpec};
+    use crate::spec::{Scenario, ShardSpec, SinkSpec};
+    use rispp_core::atom::AtomKind;
     use rispp_h264::si_library::atom_set;
 
     fn traced_run() -> (Timeline, u64) {
-        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
-        let end = engine.run(100_000);
-        let timeline = engine.timeline().clone();
-        (timeline, end)
+        let out = ShardSpec::new(Scenario::Fig6, 0)
+            .with_sink(SinkSpec::Timeline)
+            .run();
+        (out.timeline.expect("timeline captured"), out.sim_cycles)
+    }
+
+    #[test]
+    fn failed_rotations_and_fault_evictions_leave_the_container_empty() {
+        let (a, b) = (AtomKind(0), AtomKind(1));
+        let started = |container, kind| Event::RotationStarted { container, kind };
+        let completed = |container, kind| Event::RotationCompleted { container, kind };
+        let failed = |container, kind| Event::RotationFailed { container, kind };
+        let evicted = |container, kind| Event::ContainerEvicted { container, kind };
+        let mut timeline = Timeline::new();
+        for (at, event) in [
+            // AC0 loads A, then a fault evicts it; AC1's rotation of B
+            // fails.
+            (10, started(0, a)),
+            (20, completed(0, a)),
+            (20, started(1, b)),
+            (30, evicted(0, a)),
+            (40, failed(1, b)),
+            // AC0 reloads A; an overwrite evicts it and starts B in one
+            // cycle.
+            (50, started(0, a)),
+            (60, completed(0, a)),
+            (70, evicted(0, a)),
+            (70, started(0, b)),
+        ] {
+            timeline.push(at, event);
+        }
+        let containers = container_timelines(&timeline, 2);
+        let (ac0, ac1) = (&containers[0], &containers[1]);
+        assert_eq!(ac0.at(25), Occupancy::Loaded(a));
+        assert_eq!(ac0.at(30), Occupancy::Empty);
+        assert_eq!(ac0.at(65), Occupancy::Loaded(a));
+        assert_eq!(ac0.at(70), Occupancy::Loading(b));
+        assert_eq!(ac1.at(30), Occupancy::Loading(b));
+        assert_eq!(ac1.at(40), Occupancy::Empty);
+        assert_eq!(ac1.at(u64::MAX), Occupancy::Empty);
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! ordering, determinism, and round-robin fairness under random task
 //! programs.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use rispp_core::atom::AtomSet;
 use rispp_core::forecast::ForecastValue;
@@ -9,11 +12,14 @@ use rispp_core::molecule::Molecule;
 use rispp_core::si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
 use rispp_fabric::fabric::Fabric;
+use rispp_obs::{SinkHandle, TimelineSink};
 use rispp_rt::manager::RisppManager;
 use rispp_sim::engine::Engine;
 use rispp_sim::task::{Op, Task};
 
-fn platform(containers: usize) -> (RisppManager, SiId) {
+/// An engine over a one-SI platform, recording into the returned
+/// timeline.
+fn platform(containers: usize) -> (Engine, SiId, Rc<RefCell<TimelineSink>>) {
     let atoms = AtomSet::from_names(["A", "B"]);
     let catalog = AtomCatalog::new(vec![
         AtomHwProfile::new("A", 100, 200, 6_920),
@@ -31,7 +37,11 @@ fn platform(containers: usize) -> (RisppManager, SiId) {
             .unwrap(),
         )
         .unwrap();
-    (RisppManager::builder(lib, fabric).build(), si)
+    let timeline = Rc::new(RefCell::new(TimelineSink::new()));
+    let manager = RisppManager::builder(lib, fabric)
+        .sink(SinkHandle::shared(timeline.clone()))
+        .build();
+    (Engine::new(manager), si, timeline)
 }
 
 /// Random primitive op.
@@ -54,8 +64,7 @@ proptest! {
         ops in proptest::collection::vec(op(SiId(0)), 1..40),
         containers in 0usize..3,
     ) {
-        let (mgr, si) = platform(containers);
-        let mut engine = Engine::new(mgr);
+        let (mut engine, si, timeline) = platform(containers);
         engine.add_task(Task::new(0, "t", ops.clone()));
         let end = engine.run(10_000);
         let plain: u64 = ops
@@ -65,7 +74,7 @@ proptest! {
                 _ => None,
             })
             .sum();
-        let si_cycles: u64 = engine.timeline().executions(0, si).map(|e| e.1).sum();
+        let si_cycles: u64 = timeline.borrow().timeline().executions(0, si).map(|e| e.1).sum();
         prop_assert_eq!(end, plain + si_cycles);
     }
 
@@ -75,11 +84,10 @@ proptest! {
         ops in proptest::collection::vec(op(SiId(0)), 1..40),
         containers in 0usize..3,
     ) {
-        let (mgr, _) = platform(containers);
-        let mut engine = Engine::new(mgr);
+        let (mut engine, _, timeline) = platform(containers);
         engine.add_task(Task::new(0, "t", ops));
         engine.run(10_000);
-        let times: Vec<u64> = engine.timeline().entries().iter().map(|e| e.at).collect();
+        let times: Vec<u64> = timeline.borrow().timeline().entries().iter().map(|e| e.at).collect();
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -91,11 +99,10 @@ proptest! {
         containers in 0usize..3,
     ) {
         let run = || {
-            let (mgr, _) = platform(containers);
-            let mut engine = Engine::new(mgr);
+            let (mut engine, _, timeline) = platform(containers);
             engine.add_task(Task::new(0, "t", ops.clone()));
             let end = engine.run(10_000);
-            let timeline = engine.timeline().clone();
+            let timeline = timeline.borrow().timeline().clone();
             (end, timeline)
         };
         let (e1, t1) = run();
@@ -108,8 +115,7 @@ proptest! {
     /// within one of each other at all times.
     #[test]
     fn round_robin_is_fair(n in 1u32..30) {
-        let (mgr, si) = platform(2);
-        let mut engine = Engine::new(mgr);
+        let (mut engine, si, timeline) = platform(2);
         for id in 0..2 {
             engine.add_task(Task::new(
                 id,
@@ -121,14 +127,15 @@ proptest! {
             ));
         }
         engine.run(100_000);
-        let a = engine.timeline().executions(0, si).count();
-        let b = engine.timeline().executions(1, si).count();
+        let sink = timeline.borrow();
+        let a = sink.timeline().executions(0, si).count();
+        let b = sink.timeline().executions(1, si).count();
         prop_assert_eq!(a, n as usize);
         prop_assert_eq!(b, n as usize);
         // Interleaving: merge-sort the timestamps and check alternation
         // never drifts by more than one.
-        let ta: Vec<u64> = engine.timeline().executions(0, si).map(|e| e.0).collect();
-        let tb: Vec<u64> = engine.timeline().executions(1, si).map(|e| e.0).collect();
+        let ta: Vec<u64> = sink.timeline().executions(0, si).map(|e| e.0).collect();
+        let tb: Vec<u64> = sink.timeline().executions(1, si).map(|e| e.0).collect();
         for i in 0..ta.len().min(tb.len()) {
             prop_assert!(ta[i] <= tb[i]);
             if i + 1 < ta.len() {

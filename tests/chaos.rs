@@ -58,12 +58,13 @@ fn every_rotation_failure_is_followed_by_retry_or_software() {
     // successful rotation of the same Atom kind or a later software
     // execution of an SI that wanted it.
     let plan = FaultPlan::seeded(1, 6, HORIZON);
-    let (mut engine, _sis) = ShardSpec::new(Scenario::Fig6, 0)
+    let timeline = ShardSpec::new(Scenario::Fig6, 0)
         .with_faults(plan)
-        .build_fig6();
-    engine.run(100_000);
-    let lib = engine.manager().library().clone();
-    let timeline = engine.timeline();
+        .with_sink(SinkSpec::Timeline)
+        .run()
+        .timeline
+        .expect("timeline captured");
+    let (lib, _) = rispp::h264::si_library::build_library();
 
     let failures: Vec<(usize, AtomKind)> = timeline
         .entries()

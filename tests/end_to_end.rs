@@ -2,6 +2,9 @@
 //! forecast-point insertion → task-program generation → run-time execution
 //! on the RISPP engine → speed-up over the pure-software baseline.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rispp::cfg::aes::{build_aes, AesSis};
 use rispp::cfg::forecast_points::insert_forecast_points;
 use rispp::prelude::*;
@@ -112,7 +115,10 @@ fn aes_pipeline_beats_software_baseline() {
 
     // Run-time: execute the program on the engine.
     let program = aes_program(&cfg, &lib, &fcs, &blocks, data_blocks);
-    let manager = RisppManager::builder(lib.clone(), fabric).build();
+    let timeline = Rc::new(RefCell::new(TimelineSink::new()));
+    let manager = RisppManager::builder(lib.clone(), fabric)
+        .sink(SinkHandle::shared(timeline.clone()))
+        .build();
     let mut engine = Engine::new(manager);
     engine.add_task(Task::new(0, "aes", program.clone()));
     let rispp_cycles = engine.run(1_000_000);
@@ -136,7 +142,8 @@ fn aes_pipeline_beats_software_baseline() {
     );
 
     // Most SI executions must have run in hardware.
-    let trace = engine.timeline();
+    let sink = timeline.borrow();
+    let trace = sink.timeline();
     for (si, def) in lib.iter() {
         let execs: Vec<_> = trace.executions(0, si).collect();
         if execs.is_empty() {

@@ -16,6 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
+use rispp::obs::LatencyHistogram;
 use rispp::prelude::*;
 
 fn stress_factory(fleet_seed: u64) -> ScenarioFactory {
@@ -98,7 +99,7 @@ fn live_codec_shard_replays_byte_identical_jsonl() {
 /// Every run writes the same bytes. For each scenario, with and without
 /// a fault plan, under both codecs, every shard of a fleet and its
 /// standalone replay export the same stream; and an engine from
-/// `build_fig6` with its own sinks attached exports the same stream on
+/// `build_fig6` given its sinks at build exports the same stream on
 /// every run.
 #[test]
 fn every_run_replays_byte_identical() {
@@ -147,11 +148,13 @@ fn every_run_replays_byte_identical() {
     }
 
     let capture = || {
-        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
         let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
         let binary = Rc::new(RefCell::new(BinarySink::new(Vec::new())));
-        engine.attach_sink(SinkHandle::shared(jsonl.clone()));
-        engine.attach_sink(SinkHandle::shared(binary.clone()));
+        let sink = SinkHandle::tee(
+            SinkHandle::shared(jsonl.clone()),
+            SinkHandle::shared(binary.clone()),
+        );
+        let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6(sink);
         engine.run(100_000);
         drop(engine);
         let jsonl = Rc::try_unwrap(jsonl).expect("engine released its sinks");
@@ -167,7 +170,8 @@ fn every_run_replays_byte_identical() {
 }
 
 /// An outcome's event count and all-SI latency histogram are what a
-/// fresh `MetricsSink` folds from the run's own binary log.
+/// fresh `MetricsSink` folds from the run's own binary log; under
+/// `SinkSpec::Null` the same run folds nothing.
 #[test]
 fn event_count_and_latency_replay_from_the_log() {
     let cases = [
@@ -192,11 +196,10 @@ fn event_count_and_latency_replay_from_the_log() {
     ];
     for (scenario, fault_horizon) in cases {
         let case = format!("{} faults {fault_horizon:?}", scenario.id());
-        let out = ScenarioFactory::new(scenario, 2_026)
-            .with_sink(SinkSpec::Binary)
+        let spec = ScenarioFactory::new(scenario, 2_026)
             .with_fault_horizon(fault_horizon)
-            .spec_for(0)
-            .run();
+            .spec_for(0);
+        let out = spec.clone().with_sink(SinkSpec::Binary).run();
         let mut replayed = MetricsSink::new();
         let log = out.binary.as_deref().expect("binary captured");
         rispp::obs::bin::replay(log, &mut replayed).expect("the log decodes");
@@ -207,6 +210,23 @@ fn event_count_and_latency_replay_from_the_log() {
             out.latency.count(),
             out.summary.executions_total,
             "{case}: one latency sample per execution"
+        );
+
+        let null = spec.with_sink(SinkSpec::Null).run();
+        assert_eq!(null.events, 0, "{case}: Null counted events");
+        assert_eq!(
+            null.latency,
+            LatencyHistogram::default(),
+            "{case}: Null latency"
+        );
+        assert_eq!(
+            null.summary,
+            MetricsSummary::default(),
+            "{case}: Null summary"
+        );
+        assert_eq!(
+            null.sim_cycles, out.sim_cycles,
+            "{case}: Null changed the run"
         );
     }
 }

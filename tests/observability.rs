@@ -7,18 +7,11 @@ use std::rc::Rc;
 
 use rispp::obs::jsonl;
 use rispp::prelude::*;
-use rispp::rt::{
-    ExhaustiveSelection, ReplacementPolicy, RotationSchedulePolicy, RotationStrategy,
-    SelectionPolicy,
-};
+use rispp::rt::{ExhaustiveSelection, RotationSchedulePolicy, RotationStrategy, SelectionPolicy};
 use rispp::sim::h264_fabric;
 
-fn settled_latencies<P, S, R>(
-    mut mgr: RisppManager<P, S, R>,
-    sis: &rispp::h264::H264Sis,
-) -> Vec<u64>
+fn settled_latencies<S, R>(mut mgr: RisppManager<S, R>, sis: &rispp::h264::H264Sis) -> Vec<u64>
 where
-    P: ReplacementPolicy,
     S: SelectionPolicy,
     R: RotationSchedulePolicy,
 {
@@ -38,8 +31,7 @@ fn builder_round_trips_every_knob() {
     let (lib, sis) = rispp::h264::build_library();
     let counters = Rc::new(RefCell::new(CountersSink::new()));
     let mut mgr = RisppManager::builder(lib, h264_fabric(6))
-        .rotation_strategy(RotationStrategy::TargetOnly)
-        .smoothing(0.5)
+        .schedule_policy(RotationStrategy::TargetOnly)
         .sink(SinkHandle::shared(counters.clone()))
         .build();
     mgr.forecast(0, ForecastValue::new(sis.satd_4x4, 1.0, 400_000.0, 300.0));
@@ -71,30 +63,13 @@ fn policy_knobs_change_the_type_not_the_semantics() {
         &sis,
     );
     assert_eq!(greedy, exhaustive);
-
-    // `rotation_strategy` is shorthand for `schedule_policy` with the
-    // built-in strategy enum.
-    let strat = RotationStrategy::TargetOnly;
-    let via_shorthand = settled_latencies(
-        RisppManager::builder(lib.clone(), h264_fabric(6))
-            .rotation_strategy(strat)
-            .build(),
-        &sis,
-    );
-    let via_schedule_policy = settled_latencies(
-        RisppManager::builder(lib, h264_fabric(6))
-            .schedule_policy(strat)
-            .build(),
-        &sis,
-    );
-    assert_eq!(via_shorthand, via_schedule_policy);
 }
 
 #[test]
 fn counters_sink_matches_legacy_manager_stats() {
-    let (mut engine, sis) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
     let counters = Rc::new(RefCell::new(CountersSink::new()));
-    engine.attach_sink(SinkHandle::shared(counters.clone()));
+    let (mut engine, sis) =
+        ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::shared(counters.clone()));
     engine.run(100_000);
 
     let mgr = engine.manager();
@@ -119,13 +94,12 @@ fn counters_sink_matches_legacy_manager_stats() {
 
 #[test]
 fn counters_identical_live_and_after_jsonl_replay() {
-    // One run, two CountersSinks: one fed live through the engine's tee,
-    // one fed from the JSONL export of the very same stream. Aggregation
-    // must not be able to tell the difference.
-    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
+    // One run, two CountersSinks: one fed live beside the export, one fed
+    // from the JSONL export of the very same stream. Aggregation must not
+    // be able to tell the difference.
     let live = Rc::new(RefCell::new(CountersSink::new()));
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    engine.attach_sink(SinkHandle::tee(
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::tee(
         SinkHandle::shared(live.clone()),
         SinkHandle::shared(export.clone()),
     ));
@@ -146,9 +120,12 @@ fn counters_identical_live_and_after_jsonl_replay() {
 
 #[test]
 fn fig6_jsonl_export_replays_into_identical_timeline() {
-    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6();
+    let live = Rc::new(RefCell::new(TimelineSink::new()));
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    engine.attach_sink(SinkHandle::shared(export.clone()));
+    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::tee(
+        SinkHandle::shared(live.clone()),
+        SinkHandle::shared(export.clone()),
+    ));
     engine.run(100_000);
 
     let text = String::from_utf8(export.borrow().writer().clone()).expect("UTF-8");
@@ -157,5 +134,5 @@ fn fig6_jsonl_export_replays_into_identical_timeline() {
     // timeline event for event.
     let mut replayed = TimelineSink::new();
     jsonl::replay(&text, &mut replayed).expect("replay");
-    assert_eq!(replayed.timeline(), &*engine.timeline());
+    assert_eq!(replayed.timeline(), live.borrow().timeline());
 }
