@@ -28,7 +28,8 @@
 //! from the event stream, so a replay of a finished log serves exactly
 //! the numbers the live follow served.
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,6 +73,30 @@ pub struct Follower {
     /// A decode error is sticky — the bytes will not get better — until
     /// the file shrinks and the follower starts over.
     poisoned: Option<String>,
+}
+
+/// Fills `buf` from `file` at `offset` with positioned reads (one, unless
+/// the kernel returns less), stopping early only at end of file.
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+    #[cfg(unix)]
+    use std::os::unix::fs::FileExt;
+    #[cfg(windows)]
+    use std::os::windows::fs::FileExt;
+    let mut filled = 0;
+    while filled < buf.len() {
+        let at = offset + filled as u64;
+        #[cfg(unix)]
+        let read = file.read_at(&mut buf[filled..], at);
+        #[cfg(windows)]
+        let read = file.seek_read(&mut buf[filled..], at);
+        match read {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 fn invalid_data(e: impl std::fmt::Display) -> io::Error {
@@ -139,7 +164,7 @@ impl Follower {
     /// later poll re-reports the same error until the file shrinks and
     /// the follower starts over.
     pub fn poll<S: EventSink>(&mut self, sink: &mut S) -> io::Result<u64> {
-        let mut file = match std::fs::File::open(&self.path) {
+        let file = match File::open(&self.path) {
             Ok(file) => file,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
@@ -158,9 +183,11 @@ impl Follower {
         if len == self.offset {
             return Ok(0);
         }
-        file.seek(SeekFrom::Start(self.offset))?;
-        let mut fresh = Vec::with_capacity((len - self.offset) as usize);
-        file.read_to_end(&mut fresh)?;
+        let mut fresh = vec![0; (len - self.offset) as usize];
+        let read = read_at(&file, &mut fresh, self.offset)?;
+        // A file truncated since `metadata` yields fewer bytes: fold
+        // those; the next poll sees the shrink and reopens.
+        fresh.truncate(read);
         self.offset += fresh.len() as u64;
         let result = self.ingest(&fresh, sink);
         if let Err(e) = &result {
@@ -525,9 +552,9 @@ impl FleetState {
     /// The `/metrics` Prometheus exposition. One shard keeps the full
     /// legacy exposition (per-container series included) so it stays
     /// equal to an offline replay; N shards render every summary series
-    /// once unlabeled (aggregate) and once per shard as `{shard="k"}`,
-    /// each metric family contiguous. Window series, follower counters
-    /// and alert gauges follow in every mode.
+    /// once unlabeled (aggregate) and once as `{shard="k"}` for each
+    /// shard that has it, each metric family contiguous. Window series,
+    /// follower counters and alert gauges follow in every mode.
     #[must_use]
     pub fn render_metrics(&self) -> String {
         let mut out = String::new();
@@ -547,14 +574,16 @@ impl FleetState {
                 .fold(MetricsSummary::default(), |a, s| a.merged(s));
             let per_shard: Vec<Vec<(&str, &str, &str, f64)>> =
                 summaries.iter().map(|s| s.prometheus_series()).collect();
-            for (i, (name, kind, help, value)) in
-                aggregate.prometheus_series().into_iter().enumerate()
-            {
+            for (name, kind, help, value) in aggregate.prometheus_series() {
                 out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
                 out.push_str(&format!("{name} {value}\n"));
+                // By name: a shard may lack a series the aggregate has
+                // (`rispp_fc_hit_rate` without FC outcomes), and then gets
+                // no line for it.
                 for (k, series) in per_shard.iter().enumerate() {
-                    let v = series[i].3;
-                    out.push_str(&format!("{name}{{shard=\"{k}\"}} {v}\n"));
+                    if let Some(&(.., v)) = series.iter().find(|(n, ..)| *n == name) {
+                        out.push_str(&format!("{name}{{shard=\"{k}\"}} {v}\n"));
+                    }
                 }
             }
         }

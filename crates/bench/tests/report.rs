@@ -1,6 +1,7 @@
 //! Acceptance tests for the offline report analyzer: the derived views
-//! reconstructed from a JSONL export must agree with the live run, and
-//! the metrics gauges must agree with the fabric's own catalog.
+//! reconstructed from a JSONL export must agree with the live run, the
+//! metrics gauges must agree with the fabric's own catalog, and a log
+//! whose container index is past the codecs' cap is refused.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -8,7 +9,7 @@ use std::rc::Rc;
 use rispp::core::atom::AtomKind;
 use rispp::fabric::catalog::{table1_profiles, AtomCatalog};
 use rispp::fabric::ContainerId;
-use rispp::obs::{Event, EventSink, MetricsSink, SinkHandle, Timeline};
+use rispp::obs::{BinarySink, Event, EventSink, MetricsSink, SinkHandle, Timeline};
 use rispp::prelude::*;
 use rispp_bench::report::{analyze, render_markdown, ReportConfig};
 
@@ -160,4 +161,40 @@ fn metrics_integral_is_exact_over_closed_intervals() {
     let expected = catalog.profile(satd).utilization() / 2.0;
     assert!((m.logic_utilization() - expected).abs() < 1e-12);
     assert!((m.fabric_occupancy() - 0.5).abs() < 1e-12);
+}
+
+#[test]
+fn report_refuses_a_container_index_past_the_cap_before_tracing_it() {
+    let loaded = Event::ContainerLoaded {
+        container: 1_000_000,
+        kind: AtomKind(0),
+    };
+    let mut binary = BinarySink::new(Vec::new());
+    binary.emit(0, &loaded);
+    let mut jsonl = JsonlSink::new(Vec::new());
+    jsonl.emit(0, &loaded);
+    let dir = std::env::temp_dir();
+    let tag = format!("rispp_report_hostile_{}", std::process::id());
+    for (ext, bytes) in [
+        ("bin", binary.into_inner()),
+        ("jsonl", jsonl.writer().clone()),
+    ] {
+        let input = dir.join(format!("{tag}.{ext}"));
+        let trace = dir.join(format!("{tag}.{ext}.trace.json"));
+        std::fs::write(&input, &bytes).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rispp_report"))
+            .arg(&input)
+            .arg("--trace-out")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{ext}: {stderr}");
+        assert!(
+            stderr.contains("container 1000000 exceeds the 1024-container limit"),
+            "{ext}: {stderr}"
+        );
+        assert!(!trace.exists(), "{ext}: a trace was written");
+        std::fs::remove_file(&input).unwrap();
+    }
 }

@@ -1,8 +1,9 @@
 //! Edge-case and acceptance tests for the fleet serve layer: HTTP
 //! robustness (partial and garbage request lines, concurrent scrapes
 //! while the tail thread is folding), per-shard gauge fidelity against
-//! offline replays, live-vs-replay window determinism, and the
-//! `--check` alert gate.
+//! offline replays (also when only some logs carry a series),
+//! live-vs-replay window determinism, logs whose container indices are
+//! past the codecs' cap, and the `--check` alert gate.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
@@ -12,8 +13,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use rispp::core::atom::AtomKind;
+use rispp::core::si::SiId;
 use rispp::obs::window::{WindowConfig, WindowSink};
-use rispp::obs::{bin, MetricsSink};
+use rispp::obs::{bin, BinarySink, Event, EventSink, MetricsSink, MAX_CONTAINERS};
 use rispp::prelude::{Scenario, ScenarioFactory, SinkSpec};
 use rispp_bench::serve::{
     poll_fleet, run_check, serve, FleetState, Follower, LiveState, ServeOptions,
@@ -162,6 +165,101 @@ fn per_shard_gauges_equal_an_offline_replay_of_each_shards_log() {
     for path in &paths {
         std::fs::remove_file(path).unwrap();
     }
+}
+
+/// A binary log of `events`, each at its index in cycles.
+fn binary_log(events: &[Event]) -> Vec<u8> {
+    let mut sink = BinarySink::new(Vec::new());
+    for (at, event) in (0..).zip(events) {
+        sink.emit(at, event);
+    }
+    sink.into_inner()
+}
+
+#[test]
+fn a_fleet_where_only_one_log_monitors_fc_outcomes_renders_each_shards_own_series() {
+    // A stress log has no FC outcomes, so no `rispp_fc_hit_rate`; the
+    // second log has one, so the aggregate lists one series more than
+    // the first shard does.
+    let fc_log = binary_log(&[
+        Event::SiExecuted {
+            task: 0,
+            si: SiId(1),
+            hw: false,
+            cycles: 40,
+            molecule: None,
+        },
+        Event::FcOutcome {
+            task: 0,
+            si: SiId(1),
+            reached: true,
+        },
+    ]);
+    let logs = [stress_logs(1, 45).remove(0), fc_log];
+    let paths: Vec<PathBuf> = logs
+        .iter()
+        .enumerate()
+        .map(|(k, bytes)| {
+            let path = scratch(&format!("fc{k}"));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        })
+        .collect();
+    let state = Mutex::new(FleetState::new(
+        paths.clone(),
+        0,
+        WindowConfig::default(),
+        None,
+    ));
+    let mut followers: Vec<Follower> = paths.iter().map(Follower::new).collect();
+    poll_fleet(&mut followers, &state);
+    let exposition = state.lock().unwrap().render_metrics();
+
+    for (k, bytes) in logs.iter().enumerate() {
+        let mut offline = MetricsSink::new();
+        bin::replay(bytes, &mut offline).unwrap();
+        offline.finish();
+        for (name, _, _, value) in offline.summary().prometheus_series() {
+            let line = format!("{name}{{shard=\"{k}\"}} {value}\n");
+            assert!(exposition.contains(&line), "missing per-shard line: {line}");
+        }
+    }
+    assert!(exposition.contains("\nrispp_fc_hit_rate 1\n"));
+    assert!(exposition.contains("\nrispp_fc_hit_rate{shard=\"1\"} 1\n"));
+    assert!(!exposition.contains("rispp_fc_hit_rate{shard=\"0\"}"));
+    for path in &paths {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
+#[test]
+fn a_container_index_past_the_cap_is_refused_before_it_sizes_the_fold() {
+    let hostile = binary_log(&[Event::ContainerLoaded {
+        container: 1_000_000,
+        kind: AtomKind(0),
+    }]);
+    assert_eq!(hostile.len(), 12);
+    let limit = format!("container 1000000 exceeds the {MAX_CONTAINERS}-container limit");
+
+    // Followed, the log is a decode error; the fold stays empty, and a
+    // one-log `/metrics`, which starts with the settled fold, stays short.
+    let path = scratch("hostile");
+    std::fs::write(&path, &hostile).unwrap();
+    let state = Mutex::new(FleetState::new(
+        vec![path.clone()],
+        0,
+        WindowConfig::default(),
+        None,
+    ));
+    let mut followers = vec![Follower::new(&path)];
+    assert_eq!(poll_fleet(&mut followers, &state), 0);
+    let state = state.lock().unwrap();
+    let shard = &state.shards[0];
+    assert!(shard.error.as_deref().is_some_and(|e| e.contains(&limit)));
+    assert_eq!(shard.settled_metrics().events(), 0);
+    let lines = state.render_metrics().lines().count();
+    assert!(lines < 100, "{lines} lines of /metrics from a 12-byte log");
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The series an exposition lists, by name (one `# TYPE` line each).

@@ -42,7 +42,9 @@
 //! The encoder refuses wider Molecules; decoders refuse a longer length
 //! prefix as soon as they have read it, so a hostile prefix can neither
 //! overflow the record arithmetic nor make a decoder buffer without
-//! bound.
+//! bound. A container index at or above [`MAX_CONTAINERS`] fails at its
+//! record's offset, as it does on the JSONL path, so no log sizes a
+//! sink's per-container table beyond the cap.
 //!
 //! Like [`JsonlSink`](crate::JsonlSink), an untouched sink writes
 //! nothing — the header is emitted lazily with the first event.
@@ -68,7 +70,7 @@ use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
 use rispp_core::si::SiId;
 
-use crate::event::{Event, Record, ReselectTrigger};
+use crate::event::{Event, Record, ReselectTrigger, MAX_CONTAINERS};
 use crate::sink::EventSink;
 
 /// Magic bytes opening every binary event stream. The first byte is
@@ -701,6 +703,17 @@ impl Body<'_> {
             .map_err(|_| err(self.offset, format!("{what} exceeds u32")))
     }
 
+    fn container(&mut self) -> Result<u32, BinError> {
+        let container = self.u32("container")?;
+        if container >= MAX_CONTAINERS {
+            return Err(err(
+                self.offset,
+                format!("container {container} exceeds the {MAX_CONTAINERS}-container limit"),
+            ));
+        }
+        Ok(container)
+    }
+
     fn index(&mut self, what: &str) -> Result<usize, BinError> {
         usize::try_from(self.varint(what)?)
             .map_err(|_| err(self.offset, format!("{what} exceeds usize")))
@@ -760,29 +773,29 @@ fn decode_body(
     *last_at = at;
     let event = match tag {
         tag::ROTATION_STARTED => Event::RotationStarted {
-            container: b.u32("container")?,
+            container: b.container()?,
             kind: AtomKind(b.index("kind")?),
         },
         tag::ROTATION_COMPLETED => Event::RotationCompleted {
-            container: b.u32("container")?,
+            container: b.container()?,
             kind: AtomKind(b.index("kind")?),
         },
         tag::ROTATION_FAILED => Event::RotationFailed {
-            container: b.u32("container")?,
+            container: b.container()?,
             kind: AtomKind(b.index("kind")?),
         },
         tag::PORT_STALLED => Event::PortStalled {
             until: b.varint("until")?,
         },
         tag::CONTAINER_QUARANTINED => Event::ContainerQuarantined {
-            container: b.u32("container")?,
+            container: b.container()?,
         },
         tag::CONTAINER_LOADED => Event::ContainerLoaded {
-            container: b.u32("container")?,
+            container: b.container()?,
             kind: AtomKind(b.index("kind")?),
         },
         tag::CONTAINER_EVICTED => Event::ContainerEvicted {
-            container: b.u32("container")?,
+            container: b.container()?,
             kind: AtomKind(b.index("kind")?),
         },
         tag::SI_EXECUTED => {
@@ -1803,6 +1816,31 @@ mod tests {
         let mut decoder = StreamDecoder::new();
         decoder.feed(&oversized(MAX_RECORD_BYTES as u64, 64));
         assert_eq!(decoder.next_record(), Ok(None));
+    }
+
+    #[test]
+    fn container_indices_past_the_cap_fail_at_the_record_offset() {
+        let loaded = |container| Record {
+            at: 7,
+            event: Event::ContainerLoaded {
+                container,
+                kind: AtomKind(0),
+            },
+        };
+        let mut out = TimelineSink::new();
+        replay(&encode_all(&[loaded(MAX_CONTAINERS - 1)]), &mut out).unwrap();
+        assert_eq!(out.timeline().entries(), &[loaded(MAX_CONTAINERS - 1)]);
+        let second = encode_all(&[loaded(0)]).len() as u64;
+        for container in [MAX_CONTAINERS, 1_000_000, u32::MAX] {
+            let bytes = encode_all(&[loaded(0), loaded(container)]);
+            let expected = err(
+                second,
+                format!("container {container} exceeds the {MAX_CONTAINERS}-container limit"),
+            );
+            let mut out = TimelineSink::new();
+            assert_eq!(replay(&bytes, &mut out), Err(expected));
+            assert_eq!(out.timeline().len(), 1, "the record before still folds");
+        }
     }
 
     #[test]

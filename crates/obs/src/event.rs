@@ -15,6 +15,14 @@ use rispp_core::si::SiId;
 /// raw `u32` here so `rispp-obs` depends only on `rispp-core`).
 pub type TaskId = u32;
 
+/// Atom Containers an event log may address: both decoders refuse a
+/// container index at or above this, at the record's offset or line.
+/// Sinks keep one track per container index, so the cap keeps a log of a
+/// few bytes from sizing them. At Table 1's 2,048 LUTs per container it
+/// covers a two-million-LUT device; the container sweeps here stop at
+/// 18.
+pub const MAX_CONTAINERS: u32 = 1 << 10;
+
 /// What caused a Molecule re-selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]

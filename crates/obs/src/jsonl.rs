@@ -26,7 +26,7 @@ use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
 use rispp_core::si::SiId;
 
-use crate::event::{Event, Record, ReselectTrigger};
+use crate::event::{Event, Record, ReselectTrigger, MAX_CONTAINERS};
 use crate::sink::EventSink;
 
 /// Version of the export schema this build writes (and the newest it
@@ -416,6 +416,17 @@ impl Fields {
         u32::try_from(v).map_err(|_| err(self.line, format!("field {key:?} exceeds u32")))
     }
 
+    fn container(&self) -> Result<u32, JsonlError> {
+        let container = self.u32("container")?;
+        if container >= MAX_CONTAINERS {
+            return Err(err(
+                self.line,
+                format!("container {container} exceeds the {MAX_CONTAINERS}-container limit"),
+            ));
+        }
+        Ok(container)
+    }
+
     fn usize(&self, key: &str) -> Result<usize, JsonlError> {
         usize::try_from(self.u64(key)?)
             .map_err(|_| err(self.line, format!("field {key:?} exceeds usize")))
@@ -467,29 +478,29 @@ fn decode_at_line(line: &str, number: usize) -> Result<Record, JsonlError> {
     let at = fields.u64("at")?;
     let event = match fields.str("ev")? {
         "rotation_started" => Event::RotationStarted {
-            container: fields.u32("container")?,
+            container: fields.container()?,
             kind: AtomKind(fields.usize("kind")?),
         },
         "rotation_completed" => Event::RotationCompleted {
-            container: fields.u32("container")?,
+            container: fields.container()?,
             kind: AtomKind(fields.usize("kind")?),
         },
         "rotation_failed" => Event::RotationFailed {
-            container: fields.u32("container")?,
+            container: fields.container()?,
             kind: AtomKind(fields.usize("kind")?),
         },
         "port_stalled" => Event::PortStalled {
             until: fields.u64("until")?,
         },
         "container_quarantined" => Event::ContainerQuarantined {
-            container: fields.u32("container")?,
+            container: fields.container()?,
         },
         "container_loaded" => Event::ContainerLoaded {
-            container: fields.u32("container")?,
+            container: fields.container()?,
             kind: AtomKind(fields.usize("kind")?),
         },
         "container_evicted" => Event::ContainerEvicted {
-            container: fields.u32("container")?,
+            container: fields.container()?,
             kind: AtomKind(fields.usize("kind")?),
         },
         "si_executed" => Event::SiExecuted {
@@ -964,6 +975,27 @@ mod tests {
             let e = replay(&format!("{good}\n{bad}"), &mut TimelineSink::new()).unwrap_err();
             assert_eq!(e.line, 2, "{bad}");
             assert!(e.message.contains("duration_ns"), "{e}");
+        }
+    }
+
+    #[test]
+    fn container_indices_past_the_cap_fail_at_their_line() {
+        let loaded = |container| {
+            format!("{{\"at\":7,\"ev\":\"container_loaded\",\"container\":{container},\"kind\":0}}")
+        };
+        let mut sink = TimelineSink::new();
+        replay(&loaded(MAX_CONTAINERS - 1), &mut sink).unwrap();
+        assert_eq!(sink.timeline().len(), 1);
+        for container in [MAX_CONTAINERS, 1_000_000, u32::MAX] {
+            let mut sink = TimelineSink::new();
+            let e =
+                replay(&format!("{}\n{}", loaded(0), loaded(container)), &mut sink).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert_eq!(
+                e.message,
+                format!("container {container} exceeds the {MAX_CONTAINERS}-container limit")
+            );
+            assert_eq!(sink.timeline().len(), 1);
         }
     }
 

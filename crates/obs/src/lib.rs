@@ -82,7 +82,7 @@ pub mod window;
 pub use alert::{AlertEngine, AlertOp, AlertRule, AlertStatus};
 pub use bin::{BinError, BinarySink, StreamDecoder};
 pub use counters::{CountersSink, FcCounters, LatencyHistogram, SiCounters};
-pub use event::{Event, Record, ReselectTrigger, TaskId};
+pub use event::{Event, Record, ReselectTrigger, TaskId, MAX_CONTAINERS};
 pub use jsonl::{JsonlError, JsonlSink};
 pub use metrics::{ForecastStats, MetricsSink, MetricsSummary};
 pub use sink::{EventSink, NullSink, SinkHandle};

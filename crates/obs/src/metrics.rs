@@ -52,12 +52,38 @@ impl ContainerTrack {
     }
 }
 
-/// One open forecast window of a `(task, si)` pair.
+/// Everything the fold keeps about one `(task, si)` pair.
 #[derive(Debug, Clone)]
-struct Window {
+struct Slot {
     task: TaskId,
-    si: SiId,
-    executed: bool,
+    si: usize,
+    stats: ForecastStats,
+    /// `Some(executed)` while a forecast window is open: whether the SI
+    /// has executed inside it yet.
+    window: Option<bool>,
+    /// Index of the pair's SI in [`MetricsSink`]'s software baselines.
+    baseline: usize,
+}
+
+impl Slot {
+    /// Closes the pair's forecast window, if one is open.
+    fn close_window(&mut self) {
+        if let Some(executed) = self.window.take() {
+            self.stats.windows += 1;
+            self.stats.hits += u64::from(executed);
+        }
+    }
+}
+
+/// Lines of the direct-mapped cache in front of the ordered pair index:
+/// a power of two, fixed, so no id read from a log sizes it.
+const PAIR_CACHE_LINES: usize = 32;
+
+/// The cache line of a `(task, si)` pair. SI ids are dense library
+/// indices and a run has few tasks, so eight lines per task keep the
+/// pairs of up to four tasks of eight SIs apart; other ids share lines.
+fn pair_line(task: TaskId, si: usize) -> usize {
+    ((task as usize) << 3).wrapping_add(si) & (PAIR_CACHE_LINES - 1)
 }
 
 /// Forecast-accuracy aggregate of one `(task, si)` pair.
@@ -303,6 +329,12 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// fabric size is known (containers that never load would otherwise be
 /// invisible and inflate the occupancy fraction).
 ///
+/// Forecast accounting keeps one slot per `(task, si)` pair, in
+/// first-seen order. An event reaches its pair's slot through the slot
+/// the previous event touched or one line of a fixed direct-mapped
+/// cache; only a new pair, or one whose line another pair holds, looks
+/// in the ordered index. No table is indexed by an id's value.
+///
 /// # Examples
 ///
 /// ```
@@ -326,19 +358,29 @@ pub struct MetricsSink {
     rotations_started: u64,
     rotations_completed: u64,
     rotations_failed: u64,
-    open_windows: Vec<Window>,
-    by_pair: BTreeMap<(TaskId, usize), ForecastStats>,
-    windows_total: u64,
-    windows_hit: u64,
-    executions_forecast: u64,
+    /// One slot per `(task, si)` pair seen, in first-seen order, so a
+    /// slot's index never changes.
+    slots: Vec<Slot>,
+    /// The ordered pair index: consulted when the cursor and the cache
+    /// miss, and walked for [`MetricsSink::forecast_stats`]'s key order.
+    index: BTreeMap<(TaskId, usize), usize>,
+    /// The slot of the pair the last execution or forecast event
+    /// touched: a stream that repeats one pair finds it here.
+    cursor: usize,
+    /// Direct-mapped slot cache for streams that interleave pairs, by
+    /// [`pair_line`]; each line is checked against its slot's key.
+    lines: [usize; PAIR_CACHE_LINES],
     hw_executions: u64,
     fc_outcomes: u64,
     fc_outcomes_reached: u64,
-    /// Most recent software latency observed per SI — the baseline for
-    /// cycles-saved. Observational by design: the event stream does not
-    /// carry the library's static software latency, so savings only
-    /// accrue once the SI has executed in software at least once.
-    sw_baseline: BTreeMap<usize, u64>,
+    /// Most recent software latency observed per SI, in first-seen SI
+    /// order — the baseline for cycles-saved. Observational by design:
+    /// the event stream does not carry the library's static software
+    /// latency, so savings only accrue once the SI has executed in
+    /// software at least once.
+    baselines: Vec<Option<u64>>,
+    /// Each SI's index in `baselines`, consulted when a slot is made.
+    baseline_of: BTreeMap<usize, usize>,
     cycles_saved: u64,
     /// Events observed, of every kind.
     events: u64,
@@ -390,19 +432,50 @@ impl MetricsSink {
     /// Closes every still-open forecast window. Idempotent; call once
     /// the stream ends, before reading the forecast-accuracy figures.
     pub fn finish(&mut self) {
-        for w in std::mem::take(&mut self.open_windows) {
-            self.settle_window(&w);
+        for slot in &mut self.slots {
+            slot.close_window();
         }
     }
 
-    fn settle_window(&mut self, w: &Window) {
-        self.windows_total += 1;
-        let stats = self.by_pair.entry((w.task, w.si.index())).or_default();
-        stats.windows += 1;
-        if w.executed {
-            self.windows_hit += 1;
-            stats.hits += 1;
+    /// Points the cursor at the slot of `(task, si)`, making one when the
+    /// pair is new. The cursor, then one cache line, are tried before
+    /// the ordered index.
+    #[inline]
+    fn seek(&mut self, task: TaskId, si: usize) {
+        let is = |slot: Option<&Slot>| slot.is_some_and(|s| s.task == task && s.si == si);
+        if is(self.slots.get(self.cursor)) {
+            return;
         }
+        let line = pair_line(task, si);
+        if is(self.slots.get(self.lines[line])) {
+            self.cursor = self.lines[line];
+            return;
+        }
+        self.seek_index(task, si);
+        self.lines[line] = self.cursor;
+    }
+
+    /// Points the cursor at the slot of `(task, si)` through the ordered
+    /// index, appending a slot for a new pair.
+    #[inline(never)]
+    fn seek_index(&mut self, task: TaskId, si: usize) {
+        if let Some(&slot) = self.index.get(&(task, si)) {
+            self.cursor = slot;
+            return;
+        }
+        let baseline = *self.baseline_of.entry(si).or_insert(self.baselines.len());
+        if baseline == self.baselines.len() {
+            self.baselines.push(None);
+        }
+        self.index.insert((task, si), self.slots.len());
+        self.slots.push(Slot {
+            task,
+            si,
+            stats: ForecastStats::default(),
+            window: None,
+            baseline,
+        });
+        self.cursor = self.slots.len() - 1;
     }
 
     fn track(&mut self, index: usize) -> &mut ContainerTrack {
@@ -514,21 +587,25 @@ impl MetricsSink {
     /// interval).
     #[must_use]
     pub fn forecast_windows(&self) -> u64 {
-        self.windows_total
+        self.pair_totals().windows
     }
 
     /// Fraction of closed windows whose SI actually executed — did the
     /// forecasts come true?
     #[must_use]
     pub fn forecast_precision(&self) -> f64 {
-        ratio(self.windows_hit, self.windows_total)
+        let totals = self.pair_totals();
+        ratio(totals.hits, totals.windows)
     }
 
     /// Fraction of executions that were forecast when they happened —
     /// did executions come announced?
     #[must_use]
     pub fn forecast_recall(&self) -> f64 {
-        ratio(self.executions_forecast, self.latency.count())
+        ratio(
+            self.pair_totals().executions_in_window,
+            self.latency.count(),
+        )
     }
 
     /// Fraction of monitored [`Event::FcOutcome`]s that were reached.
@@ -537,11 +614,25 @@ impl MetricsSink {
         ratio(self.fc_outcomes_reached, self.fc_outcomes)
     }
 
+    /// The window and in-window execution counts of every pair, summed.
+    fn pair_totals(&self) -> ForecastStats {
+        let mut totals = ForecastStats::default();
+        for slot in &self.slots {
+            totals.windows += slot.stats.windows;
+            totals.hits += slot.stats.hits;
+            totals.executions_in_window += slot.stats.executions_in_window;
+        }
+        totals
+    }
+
     /// Per-`(task, si)` forecast-accuracy aggregates, in key order.
+    /// A pair that was only forecast, and whose window is still open, has
+    /// no aggregate yet and is not listed.
     pub fn forecast_stats(&self) -> impl Iterator<Item = ((TaskId, SiId), ForecastStats)> + '_ {
-        self.by_pair
-            .iter()
-            .map(|(&(task, si), &stats)| ((task, SiId(si)), stats))
+        self.index.iter().filter_map(|(&(task, si), &slot)| {
+            let stats = self.slots[slot].stats;
+            (stats != ForecastStats::default()).then_some(((task, SiId(si)), stats))
+        })
     }
 
     /// Cycles saved by hardware executions against the most recent
@@ -560,15 +651,16 @@ impl MetricsSink {
     /// A compact cross-section of every gauge.
     #[must_use]
     pub fn summary(&self) -> MetricsSummary {
+        let totals = self.pair_totals();
         MetricsSummary {
             elapsed_cycles: self.now,
             fabric_occupancy: self.fabric_occupancy(),
             logic_utilization: self.logic_utilization(),
             bus_busy_fraction: self.bus_busy_fraction(),
             rotations_completed: self.rotations_completed,
-            forecast_windows: self.windows_total,
-            forecast_precision: self.forecast_precision(),
-            forecast_recall: self.forecast_recall(),
+            forecast_windows: totals.windows,
+            forecast_precision: ratio(totals.hits, totals.windows),
+            forecast_recall: ratio(totals.executions_in_window, self.latency.count()),
             fc_hit_rate: (self.fc_outcomes > 0).then(|| self.fc_hit_rate()),
             executions_total: self.latency.count(),
             hw_fraction: ratio(self.hw_executions, self.latency.count()),
@@ -668,50 +760,32 @@ impl EventSink for MetricsSink {
                 ..
             } => {
                 self.latency.record(*cycles);
-                let stats = self.by_pair.entry((*task, si.index())).or_default();
-                stats.executions_total += 1;
-                let forecast = self
-                    .open_windows
-                    .iter_mut()
-                    .find(|w| w.task == *task && w.si == *si);
-                if let Some(w) = forecast {
-                    w.executed = true;
-                    self.executions_forecast += 1;
-                    stats.executions_in_window += 1;
+                self.seek(*task, si.index());
+                let slot = &mut self.slots[self.cursor];
+                slot.stats.executions_total += 1;
+                if let Some(executed) = &mut slot.window {
+                    *executed = true;
+                    slot.stats.executions_in_window += 1;
                 }
+                let baseline = &mut self.baselines[slot.baseline];
                 if *hw {
                     self.hw_executions += 1;
-                    if let Some(&baseline) = self.sw_baseline.get(&si.index()) {
+                    if let Some(baseline) = *baseline {
                         self.cycles_saved += baseline.saturating_sub(*cycles);
                     }
                 } else {
-                    self.sw_baseline.insert(si.index(), *cycles);
+                    *baseline = Some(*cycles);
                 }
             }
             Event::ForecastUpdated { task, si, .. } => {
-                if let Some(i) = self
-                    .open_windows
-                    .iter()
-                    .position(|w| w.task == *task && w.si == *si)
-                {
-                    let w = self.open_windows.remove(i);
-                    self.settle_window(&w);
-                }
-                self.open_windows.push(Window {
-                    task: *task,
-                    si: *si,
-                    executed: false,
-                });
+                self.seek(*task, si.index());
+                let slot = &mut self.slots[self.cursor];
+                slot.close_window();
+                slot.window = Some(false);
             }
             Event::ForecastRetracted { task, si } => {
-                if let Some(i) = self
-                    .open_windows
-                    .iter()
-                    .position(|w| w.task == *task && w.si == *si)
-                {
-                    let w = self.open_windows.remove(i);
-                    self.settle_window(&w);
-                }
+                self.seek(*task, si.index());
+                self.slots[self.cursor].close_window();
             }
             Event::FcOutcome { reached, .. } => {
                 self.fc_outcomes += 1;

@@ -254,6 +254,13 @@ pub struct WindowSink {
     ring: Vec<Bucket>,
     /// Absolute index of the newest claimed bucket.
     current: u64,
+    /// First cycle of the newest bucket (`current × bucket_cycles`).
+    current_start: u64,
+    /// Ring slot of the newest bucket (`current % buckets`).
+    current_slot: usize,
+    /// First cycle of the oldest bucket inside the window: an event
+    /// before it is late.
+    window_start: u64,
     /// Whether any event has arrived yet.
     started: bool,
     now: u64,
@@ -269,6 +276,9 @@ impl WindowSink {
             config,
             ring: vec![Bucket::default(); config.buckets],
             current: 0,
+            current_start: 0,
+            current_slot: 0,
+            window_start: 0,
             started: false,
             now: 0,
             late_events: 0,
@@ -301,9 +311,8 @@ impl WindowSink {
         let idx = at / self.config.bucket_cycles;
         if !self.started {
             self.started = true;
-            self.current = idx;
-            let slot = (idx % self.config.buckets as u64) as usize;
-            self.ring[slot].reset(idx);
+            self.claim(idx);
+            self.ring[self.current_slot].reset(idx);
             return;
         }
         if idx <= self.current {
@@ -319,20 +328,38 @@ impl WindowSink {
             let slot = (index % self.config.buckets as u64) as usize;
             self.ring[slot].reset(index);
         }
-        self.current = idx;
+        self.claim(idx);
     }
 
-    fn bucket_for(&mut self, at: u64) -> &mut Bucket {
-        self.slide_to(at);
-        let mut idx = at / self.config.bucket_cycles;
-        if idx < self.oldest_index() {
-            // Out-of-order event older than the window: fold into the
-            // newest bucket and remember that it happened.
-            self.late_events += 1;
-            idx = self.current;
+    /// Makes bucket `idx` the newest, with the cycle bounds and ring
+    /// slot that let later events skip the division.
+    fn claim(&mut self, idx: u64) {
+        self.current = idx;
+        self.current_start = idx * self.config.bucket_cycles;
+        self.current_slot = (idx % self.config.buckets as u64) as usize;
+        self.window_start = self.oldest_index() * self.config.bucket_cycles;
+    }
+
+    /// The ring slot an event at `at` folds into. An event in the newest
+    /// bucket, or older than the whole window (late: it folds into the
+    /// newest bucket and is counted), is placed by comparisons alone; only
+    /// one that opens a new bucket or lands in an older bucket of the
+    /// window divides.
+    #[inline]
+    fn slot_for(&mut self, at: u64) -> usize {
+        if self.started {
+            if at >= self.current_start {
+                if at - self.current_start < self.config.bucket_cycles {
+                    self.now = self.now.max(at);
+                    return self.current_slot;
+                }
+            } else if at < self.window_start {
+                self.late_events += 1;
+                return self.current_slot;
+            }
         }
-        let slot = (idx % self.config.buckets as u64) as usize;
-        &mut self.ring[slot]
+        self.slide_to(at);
+        ((at / self.config.bucket_cycles) % self.config.buckets as u64) as usize
     }
 
     /// Absolute index of the oldest bucket still inside the window.
@@ -371,7 +398,8 @@ impl WindowSink {
 
 impl EventSink for WindowSink {
     fn emit(&mut self, at: u64, event: &Event) {
-        let bucket = self.bucket_for(at);
+        let slot = self.slot_for(at);
+        let bucket = &mut self.ring[slot];
         bucket.events += 1;
         match event {
             Event::SiExecuted { hw, cycles, .. } => {

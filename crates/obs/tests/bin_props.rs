@@ -12,7 +12,9 @@ use rispp_core::atom::AtomKind;
 use rispp_core::molecule::Molecule;
 use rispp_core::si::SiId;
 use rispp_obs::bin::{self, StreamDecoder};
-use rispp_obs::{BinarySink, Event, EventSink, Record, ReselectTrigger, TimelineSink};
+use rispp_obs::{
+    BinarySink, Event, EventSink, Record, ReselectTrigger, TimelineSink, MAX_CONTAINERS,
+};
 
 fn molecule_strategy() -> impl Strategy<Value = Molecule> {
     proptest::collection::vec(0u32..4, 1..5).prop_map(Molecule::from_counts)
@@ -51,21 +53,26 @@ fn si_strategy() -> impl Strategy<Value = SiId> {
     (0usize..64).prop_map(SiId)
 }
 
+/// Every container index a stream may carry, the last one included.
+fn container_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0..MAX_CONTAINERS, Just(MAX_CONTAINERS - 1)]
+}
+
 /// Every `Event` variant, fault events (`RotationFailed`,
 /// `ContainerQuarantined`, `Reselect { trigger: Fault }`) included.
 fn event_strategy() -> impl Strategy<Value = Event> {
     prop_oneof![
-        (any::<u32>(), kind_strategy())
+        (container_strategy(), kind_strategy())
             .prop_map(|(container, kind)| Event::RotationStarted { container, kind }),
-        (any::<u32>(), kind_strategy())
+        (container_strategy(), kind_strategy())
             .prop_map(|(container, kind)| Event::RotationCompleted { container, kind }),
-        (any::<u32>(), kind_strategy())
+        (container_strategy(), kind_strategy())
             .prop_map(|(container, kind)| Event::RotationFailed { container, kind }),
         any::<u64>().prop_map(|until| Event::PortStalled { until }),
-        any::<u32>().prop_map(|container| Event::ContainerQuarantined { container }),
-        (any::<u32>(), kind_strategy())
+        container_strategy().prop_map(|container| Event::ContainerQuarantined { container }),
+        (container_strategy(), kind_strategy())
             .prop_map(|(container, kind)| Event::ContainerLoaded { container, kind }),
-        (any::<u32>(), kind_strategy())
+        (container_strategy(), kind_strategy())
             .prop_map(|(container, kind)| Event::ContainerEvicted { container, kind }),
         (
             any::<u32>(),
