@@ -3,6 +3,9 @@
 //! Molecule's Atoms in plain kind order. Measures time-to-first-hardware
 //! execution and total cycles for the SATD_4x4 hot spot.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rispp::h264::si_library::build_library;
 use rispp::prelude::*;
 use rispp::rt::RotationStrategy;
@@ -18,8 +21,10 @@ struct Run {
 
 fn run(strategy: RotationStrategy, containers: usize) -> Run {
     let (lib, sis) = build_library();
+    let counters = Rc::new(RefCell::new(CountersSink::new()));
     let mut mgr = RisppManager::builder(lib, h264_fabric(containers))
         .schedule_policy(strategy)
+        .sink(SinkHandle::shared(counters.clone()))
         .build();
     mgr.forecast(0, ForecastValue::new(sis.satd_4x4, 1.0, 400_000.0, 400.0));
     let mut first_hw_at = 0;
@@ -35,11 +40,12 @@ fn run(strategy: RotationStrategy, containers: usize) -> Run {
             first_hw_cycles = rec.cycles;
         }
     }
+    let sw_executions = counters.borrow().si(sis.satd_4x4).sw_executions;
     Run {
         first_hw_at,
         first_hw_cycles,
         total_cycles: total,
-        sw_executions: mgr.stats(sis.satd_4x4).sw_executions,
+        sw_executions,
     }
 }
 

@@ -124,7 +124,7 @@ pub struct AlertRule {
     pub metric: String,
     /// Comparison between the metric and the threshold.
     pub op: AlertOp,
-    /// Threshold value.
+    /// Threshold value; the parser takes only a finite one.
     pub threshold: f64,
     /// How long (simulated cycles) the condition must hold continuously
     /// before the rule fires. `0` fires on the first violating poll.
@@ -206,8 +206,15 @@ impl AlertRule {
                         Some(AlertOp::parse(&s).map_err(|e| AlertError::at(lineno, e.message))?);
                 }
                 "threshold" => {
-                    rule.threshold = Some(value.parse::<f64>().map_err(|_| {
-                        AlertError::at(lineno, format!("bad number {value:?} for `threshold`"))
+                    // `f64::from_str` also takes `NaN` and `inf`: a NaN
+                    // threshold never compares true, so its rule could
+                    // never fire.
+                    let threshold = value.parse::<f64>().ok().filter(|t| t.is_finite());
+                    rule.threshold = Some(threshold.ok_or_else(|| {
+                        AlertError::at(
+                            lineno,
+                            format!("bad number {value:?} for `threshold` (must be finite)"),
+                        )
                     })?);
                 }
                 "for_cycles" => {
@@ -463,6 +470,14 @@ threshold = 0.1
                    [[rule]]\nname=\"a\"\nmetric=\"m\"\nop=\">\"\nthreshold=1\n";
         let err = AlertRule::parse_toml(two).unwrap_err();
         assert!(err.message.contains("duplicate"), "{err}");
+
+        for threshold in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            let text =
+                format!("[[rule]]\nname=\"a\"\nmetric=\"m\"\nop=\">\"\nthreshold={threshold}\n");
+            let err = AlertRule::parse_toml(&text).unwrap_err();
+            assert_eq!(err.line, Some(5), "{threshold}");
+            assert!(err.message.contains("finite"), "{threshold}: {err}");
+        }
     }
 
     fn rule(op: AlertOp, threshold: f64, for_cycles: u64) -> AlertRule {

@@ -1,6 +1,10 @@
-//! The [`CountersSink`]: low-overhead aggregate statistics — per-SI
-//! execution counters, latency histograms, forecast monitoring counters
-//! and rotation/reselect totals — accumulated from the event stream.
+//! The [`CountersSink`]: per-SI execution and forecast-monitoring
+//! counters folded from the event stream (the paper's run-time task (a),
+//! "monitoring FCs and SIs"), plus the number of rotations that started.
+//!
+//! Run-level totals (rotations completed or failed, port stalls,
+//! container loads and evictions, re-selections) are read from a
+//! `MetricsSink` or a `Timeline`; this sink answers questions about one SI.
 
 use std::collections::BTreeMap;
 
@@ -9,155 +13,8 @@ use rispp_core::si::SiId;
 use crate::event::Event;
 use crate::sink::EventSink;
 
-/// Power-of-two latency histogram: bucket `i` counts samples in
-/// `[2^(i-1), 2^i)` cycles (bucket 0 counts zero-cycle samples).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; 65],
-    total: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; 65],
-            total: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    fn bucket_of(cycles: u64) -> usize {
-        (64 - cycles.leading_zeros()) as usize
-    }
-
-    /// Records one latency sample. The cycle sum saturates at
-    /// [`u64::MAX`] instead of wrapping, so pathological inputs degrade
-    /// the mean rather than corrupting it.
-    pub fn record(&mut self, cycles: u64) {
-        self.buckets[Self::bucket_of(cycles)] += 1;
-        self.total += 1;
-        self.sum = self.sum.saturating_add(cycles);
-        self.min = self.min.min(cycles);
-        self.max = self.max.max(cycles);
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all recorded latencies, in cycles.
-    #[must_use]
-    pub fn sum_cycles(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean latency (`None` before any sample).
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.total as f64)
-        }
-    }
-
-    /// Smallest recorded sample (`None` before any sample).
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample (`None` before any sample).
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.max)
-    }
-
-    /// The `q`-quantile sample, reported as the inclusive upper bound of
-    /// the power-of-two bucket holding the `ceil(q · count)`-th smallest
-    /// sample, clamped to the recorded maximum. The result always lies in
-    /// the same bucket as the true quantile sample, so the estimate is
-    /// never off by more than one bucket width (a factor of two).
-    ///
-    /// `q` is clamped to `[0, 1]`; returns `None` before any sample.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = match i {
-                    0 => 0,
-                    64.. => u64::MAX,
-                    _ => (1u64 << i) - 1,
-                };
-                return Some(upper.min(self.max));
-            }
-        }
-        unreachable!("rank is bounded by the recorded total")
-    }
-
-    /// Median sample (see [`LatencyHistogram::quantile`]).
-    #[must_use]
-    pub fn p50(&self) -> Option<u64> {
-        self.quantile(0.50)
-    }
-
-    /// 99th-percentile sample (see [`LatencyHistogram::quantile`]).
-    #[must_use]
-    pub fn p99(&self) -> Option<u64> {
-        self.quantile(0.99)
-    }
-
-    /// Folds another histogram into this one, as if every sample recorded
-    /// into `other` had been recorded here instead.
-    ///
-    /// Bucket counts and the total add exactly; the cycle sum saturates at
-    /// [`u64::MAX`] exactly like [`LatencyHistogram::record`]; min and max
-    /// are preserved exactly (an empty side contributes nothing, because
-    /// its min/max sentinels are the identity of `min`/`max`). The merge
-    /// is therefore associative and commutative, which is what lets a
-    /// fleet aggregate per-shard histograms in any completion order.
-    pub fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Occupied buckets as `(bucket_upper_bound_exclusive, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let upper = if i >= 64 { u64::MAX } else { 1u64 << i };
-                (upper, n)
-            })
-    }
-}
-
-/// Per-SI execution counters (the sink-side equivalent of the manager's
-/// legacy `SiStats`).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Per-SI execution counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SiCounters {
     /// Hardware executions.
     pub hw_executions: u64,
@@ -167,8 +24,6 @@ pub struct SiCounters {
     pub cycles: u64,
     /// Cycles spent in hardware Molecules (subset of `cycles`).
     pub hw_cycles: u64,
-    /// Latency distribution over all executions.
-    pub latency: LatencyHistogram,
 }
 
 impl SiCounters {
@@ -179,8 +34,7 @@ impl SiCounters {
     }
 }
 
-/// Per-SI forecast monitoring counters (the sink-side equivalent of the
-/// manager's legacy `FcStats`).
+/// Per-SI forecast monitoring counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FcCounters {
     /// Forecasts announced for this SI (over all tasks).
@@ -193,20 +47,26 @@ pub struct FcCounters {
     pub misses: u64,
 }
 
-/// Aggregating sink: counters and histograms, no per-event storage.
-#[derive(Debug, Clone, Default, PartialEq)]
+impl FcCounters {
+    /// Fraction of monitored outcomes that were hits (`None` before any
+    /// outcome was recorded).
+    #[must_use]
+    pub fn hit_rate(&self) -> Option<f64> {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            None
+        } else {
+            Some(self.hits as f64 / total as f64)
+        }
+    }
+}
+
+/// Aggregating sink: per-SI counters, no per-event storage.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountersSink {
     per_si: BTreeMap<usize, SiCounters>,
     fc: BTreeMap<usize, FcCounters>,
     rotations_started: u64,
-    rotations_completed: u64,
-    rotations_failed: u64,
-    port_stalls: u64,
-    containers_quarantined: u64,
-    containers_loaded: u64,
-    containers_evicted: u64,
-    reselects: u64,
-    upgrade_steps: u64,
 }
 
 impl CountersSink {
@@ -219,7 +79,7 @@ impl CountersSink {
     /// Execution counters of one SI (zeroed default when never seen).
     #[must_use]
     pub fn si(&self, si: SiId) -> SiCounters {
-        self.per_si.get(&si.index()).cloned().unwrap_or_default()
+        self.per_si.get(&si.index()).copied().unwrap_or_default()
     }
 
     /// Forecast counters of one SI (zeroed default when never seen).
@@ -228,68 +88,16 @@ impl CountersSink {
         self.fc.get(&si.index()).copied().unwrap_or_default()
     }
 
-    /// Rotations that started.
+    /// Rotations that started ([`Event::RotationStarted`]).
     #[must_use]
     pub fn rotations_started(&self) -> u64 {
         self.rotations_started
     }
 
-    /// Rotations that completed.
-    #[must_use]
-    pub fn rotations_completed(&self) -> u64 {
-        self.rotations_completed
-    }
-
-    /// Rotations that reached completion but failed bitstream
-    /// verification ([`Event::RotationFailed`]).
-    #[must_use]
-    pub fn rotations_failed(&self) -> u64 {
-        self.rotations_failed
-    }
-
-    /// Reconfiguration-port stalls observed ([`Event::PortStalled`]).
-    #[must_use]
-    pub fn port_stalls(&self) -> u64 {
-        self.port_stalls
-    }
-
-    /// Containers taken permanently out of service
-    /// ([`Event::ContainerQuarantined`]).
-    #[must_use]
-    pub fn containers_quarantined(&self) -> u64 {
-        self.containers_quarantined
-    }
-
-    /// Containers that became usable ([`Event::ContainerLoaded`]).
-    #[must_use]
-    pub fn containers_loaded(&self) -> u64 {
-        self.containers_loaded
-    }
-
-    /// Usable Atoms destroyed by overwriting rotations
-    /// ([`Event::ContainerEvicted`]).
-    #[must_use]
-    pub fn containers_evicted(&self) -> u64 {
-        self.containers_evicted
-    }
-
-    /// Selection re-evaluations observed.
-    #[must_use]
-    pub fn reselects(&self) -> u64 {
-        self.reselects
-    }
-
-    /// Upgrade-path stages the scheduler staged.
-    #[must_use]
-    pub fn upgrade_steps(&self) -> u64 {
-        self.upgrade_steps
-    }
-
     /// Folds another sink's counters into this one, as if every event
-    /// emitted into `other` had been emitted here instead: all totals
-    /// add, per-SI counters add SI-by-SI and their latency histograms
-    /// merge via [`LatencyHistogram::merge`]. Associative and
-    /// commutative, so fleet shards can be folded in any order.
+    /// emitted into `other` had been emitted here instead: per-SI
+    /// counters add SI by SI. Associative and commutative, so fleet
+    /// shards can be folded in any order.
     pub fn merge(&mut self, other: &Self) {
         for (si, theirs) in &other.per_si {
             let mine = self.per_si.entry(*si).or_default();
@@ -297,7 +105,6 @@ impl CountersSink {
             mine.sw_executions += theirs.sw_executions;
             mine.cycles += theirs.cycles;
             mine.hw_cycles += theirs.hw_cycles;
-            mine.latency.merge(&theirs.latency);
         }
         for (si, theirs) in &other.fc {
             let mine = self.fc.entry(*si).or_default();
@@ -307,14 +114,6 @@ impl CountersSink {
             mine.misses += theirs.misses;
         }
         self.rotations_started += other.rotations_started;
-        self.rotations_completed += other.rotations_completed;
-        self.rotations_failed += other.rotations_failed;
-        self.port_stalls += other.port_stalls;
-        self.containers_quarantined += other.containers_quarantined;
-        self.containers_loaded += other.containers_loaded;
-        self.containers_evicted += other.containers_evicted;
-        self.reselects += other.reselects;
-        self.upgrade_steps += other.upgrade_steps;
     }
 }
 
@@ -322,12 +121,6 @@ impl EventSink for CountersSink {
     fn emit(&mut self, _at: u64, event: &Event) {
         match event {
             Event::RotationStarted { .. } => self.rotations_started += 1,
-            Event::RotationCompleted { .. } => self.rotations_completed += 1,
-            Event::RotationFailed { .. } => self.rotations_failed += 1,
-            Event::PortStalled { .. } => self.port_stalls += 1,
-            Event::ContainerQuarantined { .. } => self.containers_quarantined += 1,
-            Event::ContainerLoaded { .. } => self.containers_loaded += 1,
-            Event::ContainerEvicted { .. } => self.containers_evicted += 1,
             Event::SiExecuted { si, hw, cycles, .. } => {
                 let c = self.per_si.entry(si.index()).or_default();
                 if *hw {
@@ -337,7 +130,6 @@ impl EventSink for CountersSink {
                     c.sw_executions += 1;
                 }
                 c.cycles += cycles;
-                c.latency.record(*cycles);
             }
             Event::ForecastUpdated { si, .. } => {
                 self.fc.entry(si.index()).or_default().issued += 1;
@@ -353,8 +145,7 @@ impl EventSink for CountersSink {
                     c.misses += 1;
                 }
             }
-            Event::Reselect { .. } => self.reselects += 1,
-            Event::UpgradeStep { .. } => self.upgrade_steps += 1,
+            _ => {}
         }
     }
 }
@@ -474,133 +265,13 @@ mod tests {
         assert_eq!(s.cycles, 520);
         assert_eq!(s.hw_cycles, 20);
         assert_eq!(s.sw_cycles(), 500);
-        assert_eq!(s.latency.count(), 2);
-        assert_eq!(s.latency.sum_cycles(), 520);
 
         let fc = sink.fc(si);
         assert_eq!((fc.issued, fc.retracted, fc.hits, fc.misses), (1, 1, 1, 1));
+        assert_eq!(fc.hit_rate(), Some(0.5));
         assert_eq!(sink.rotations_started(), 1);
-        assert_eq!(sink.rotations_completed(), 1);
-        assert_eq!(sink.containers_loaded(), 1);
-        assert_eq!(sink.containers_evicted(), 1);
-        assert_eq!(sink.reselects(), 1);
-        assert_eq!(sink.upgrade_steps(), 1);
-        assert_eq!(sink.rotations_failed(), 1);
-        assert_eq!(sink.port_stalls(), 1);
-        assert_eq!(sink.containers_quarantined(), 1);
         // Unseen SIs read as zeroed counters.
         assert_eq!(sink.si(SiId(9)).cycles, 0);
-    }
-
-    #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let mut h = LatencyHistogram::default();
-        for c in [0, 1, 2, 3, 4, 500, 513] {
-            h.record(c);
-        }
-        assert_eq!(h.count(), 7);
-        let buckets: Vec<(u64, u64)> = h.nonzero_buckets().collect();
-        // 0 → bucket 0; 1 → (1,2); 2,3 → (2,4); 4 → (4,8); 500 → (256,512);
-        // 513 → (512,1024).
-        assert_eq!(
-            buckets,
-            vec![(1, 1), (2, 1), (4, 2), (8, 1), (512, 1), (1024, 1)]
-        );
-        assert!((h.mean().unwrap() - (1023.0 / 7.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries_are_exact() {
-        // Bucket i covers [2^(i-1), 2^i): a power of two opens its own
-        // bucket, one below it closes the previous.
-        let mut h = LatencyHistogram::default();
-        for c in [0u64, 1, 255, 256, 257, (1 << 32) - 1, 1 << 32] {
-            h.record(c);
-        }
-        let buckets: Vec<(u64, u64)> = h.nonzero_buckets().collect();
-        assert_eq!(
-            buckets,
-            vec![
-                (1, 1),       // 0 → the zero bucket (upper bound 1)
-                (2, 1),       // 1 → [1, 2)
-                (256, 1),     // 255 → [128, 256)
-                (512, 2),     // 256, 257 → [256, 512)
-                (1 << 32, 1), // 2^32 - 1 → [2^31, 2^32)
-                (1 << 33, 1), // 2^32 → [2^32, 2^33)
-            ]
-        );
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn histogram_saturates_instead_of_wrapping() {
-        let mut h = LatencyHistogram::default();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        h.record(1);
-        // u64::MAX lands in the open-ended top bucket…
-        let buckets: Vec<(u64, u64)> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(2, 1), (u64::MAX, 2)]);
-        // …and the cycle sum pins at u64::MAX rather than wrapping to a
-        // small number (which would produce a nonsensical mean).
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum_cycles(), u64::MAX);
-        assert!(h.mean().unwrap() > (u64::MAX / 4) as f64);
-        // The extremes and the top-bucket quantiles survive saturation.
-        assert_eq!((h.min(), h.max()), (Some(1), Some(u64::MAX)));
-        assert_eq!(h.p99(), Some(u64::MAX));
-    }
-
-    #[test]
-    fn merge_matches_the_single_histogram_oracle() {
-        // Recording two sample sets separately and merging must be
-        // indistinguishable from one histogram that saw every sample.
-        let a_samples = [0u64, 1, 7, 300, 600, 600, 1 << 40];
-        let b_samples = [2u64, 7, 8, 255, 256, u64::MAX];
-        let (mut a, mut b, mut oracle) = (
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-        );
-        for &s in &a_samples {
-            a.record(s);
-            oracle.record(s);
-        }
-        for &s in &b_samples {
-            b.record(s);
-            oracle.record(s);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab, oracle);
-        // Commutative: b.merge(a) sees the same samples.
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ba, oracle);
-        // Exact extremes and derived statistics survive the merge.
-        assert_eq!((ab.min(), ab.max()), (Some(0), Some(u64::MAX)));
-        assert_eq!(ab.count(), (a_samples.len() + b_samples.len()) as u64);
-        assert_eq!(ab.p99(), oracle.p99());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_and_sum_saturates() {
-        let mut h = LatencyHistogram::default();
-        h.record(42);
-        let snapshot = h.clone();
-        h.merge(&LatencyHistogram::default());
-        assert_eq!(h, snapshot);
-        let mut empty = LatencyHistogram::default();
-        empty.merge(&snapshot);
-        assert_eq!(empty, snapshot);
-        // Saturation carries over: two near-full sums pin at u64::MAX.
-        let mut big = LatencyHistogram::default();
-        big.record(u64::MAX);
-        let mut other = LatencyHistogram::default();
-        other.record(u64::MAX - 1);
-        big.merge(&other);
-        assert_eq!(big.sum_cycles(), u64::MAX);
-        assert_eq!(big.count(), 2);
     }
 
     #[test]
@@ -674,25 +345,9 @@ mod tests {
         // Merging an empty sink is the identity.
         ab.merge(&CountersSink::new());
         assert_eq!(ab, oracle);
-        // Spot-check a merged per-SI histogram.
-        assert_eq!(ab.si(SiId(0)).latency.count(), 2);
-        assert_eq!(ab.si(SiId(0)).latency.sum_cycles(), 500);
-    }
-
-    #[test]
-    fn quantiles_report_the_holding_bucket() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.p50(), None);
-        // 10 samples: eight in [4, 8), one in [256, 512), one in [512, 1024).
-        for c in [4u64, 5, 5, 6, 6, 7, 7, 7, 300, 600] {
-            h.record(c);
-        }
-        // Rank 5 lands in the [4, 8) bucket → upper bound 7.
-        assert_eq!(h.p50(), Some(7));
-        // Rank 10 is the last sample; the [512, 1024) upper bound clamps
-        // to the recorded maximum.
-        assert_eq!(h.p99(), Some(600));
-        assert_eq!(h.quantile(0.0), Some(7));
-        assert_eq!((h.min(), h.max()), (Some(4), Some(600)));
+        // Spot-check merged per-SI counters.
+        let s = ab.si(SiId(0));
+        assert_eq!((s.hw_executions, s.sw_executions, s.cycles), (1, 1, 500));
+        assert_eq!(ab.fc(SiId(0)).issued, 1);
     }
 }

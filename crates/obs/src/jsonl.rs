@@ -5,7 +5,10 @@
 //! [`EventSink`], reconstructing — for a [`TimelineSink`] — a timeline
 //! identical to the live one. The encoding is hand-rolled (the workspace
 //! is offline, no serde) but round-trips every field exactly: integers
-//! verbatim, floats through Rust's shortest-round-trip `Display`.
+//! verbatim, floats through Rust's shortest-round-trip `Display`. The
+//! decoder keeps each number's text and parses an integer field as an
+//! integer, so a value above 2^53 keeps its low bits, and `1.0`, `1e3`
+//! or a value past the field's range is refused.
 //!
 //! The export format is a contract (reports, golden files, the bench
 //! suite all consume it), so streams are versioned: the sink prefixes
@@ -244,9 +247,10 @@ fn err(line: usize, message: impl Into<String>) -> JsonlError {
 }
 
 /// One parsed JSON scalar/array value (the subset the encoding uses).
+/// A number keeps its text: each field parses it as the type it holds.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Num(f64),
+enum Value<'a> {
+    Num(&'a str),
     Bool(bool),
     Str(String),
     Arr(Vec<u32>),
@@ -302,23 +306,31 @@ impl<'a> Parser<'a> {
         Err(err(self.line, "unterminated string"))
     }
 
-    fn parse_number(&mut self) -> Result<f64, JsonlError> {
+    /// The text of the number at the cursor. A plain digit run is an
+    /// integer; anything else must at least parse as a float.
+    fn parse_number(&mut self) -> Result<&'a str, JsonlError> {
         self.skip_ws();
         let start = self.pos;
+        let mut digits_only = true;
         while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+            if b.is_ascii_digit() {
+                self.pos += 1;
+            } else if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+                digits_only = false;
                 self.pos += 1;
             } else {
                 break;
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err(self.line, format!("malformed number at byte {start}")))
+        // Every byte scanned is ASCII, so the slice is valid UTF-8.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if text.is_empty() || (!digits_only && text.parse::<f64>().is_err()) {
+            return Err(err(self.line, format!("malformed number at byte {start}")));
+        }
+        Ok(text)
     }
 
-    fn parse_value(&mut self) -> Result<Value, JsonlError> {
+    fn parse_value(&mut self) -> Result<Value<'a>, JsonlError> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') | Some(b'f') => {
@@ -342,11 +354,8 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    let n = self.parse_number()?;
-                    if n < 0.0 || n.fract() != 0.0 || n > f64::from(u32::MAX) {
-                        return Err(err(self.line, "array items must be u32 counts"));
-                    }
-                    items.push(n as u32);
+                    let n = self.parse_number()?.parse::<u32>();
+                    items.push(n.map_err(|_| err(self.line, "array items must be u32 counts"))?);
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
@@ -362,7 +371,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the flat object `{"key":value,...}` into pairs.
-    fn parse_object(&mut self) -> Result<Vec<(String, Value)>, JsonlError> {
+    fn parse_object(&mut self) -> Result<Vec<(String, Value<'a>)>, JsonlError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         if self.peek() == Some(b'}') {
@@ -390,13 +399,13 @@ impl<'a> Parser<'a> {
     }
 }
 
-struct Fields {
-    pairs: Vec<(String, Value)>,
+struct Fields<'a> {
+    pairs: Vec<(String, Value<'a>)>,
     line: usize,
 }
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Value, JsonlError> {
+impl Fields<'_> {
+    fn get(&self, key: &str) -> Result<&Value<'_>, JsonlError> {
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
@@ -406,9 +415,10 @@ impl Fields {
 
     fn u64(&self, key: &str) -> Result<u64, JsonlError> {
         match self.get(key)? {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-            _ => Err(err(self.line, format!("field {key:?} is not a u64"))),
+            Value::Num(text) => text.parse().ok(),
+            _ => None,
         }
+        .ok_or_else(|| err(self.line, format!("field {key:?} is not a u64")))
     }
 
     fn u32(&self, key: &str) -> Result<u32, JsonlError> {
@@ -434,9 +444,10 @@ impl Fields {
 
     fn f64(&self, key: &str) -> Result<f64, JsonlError> {
         match self.get(key)? {
-            Value::Num(n) => Ok(*n),
-            _ => Err(err(self.line, format!("field {key:?} is not a number"))),
+            Value::Num(text) => text.parse().ok(),
+            _ => None,
         }
+        .ok_or_else(|| err(self.line, format!("field {key:?} is not a number")))
     }
 
     fn bool(&self, key: &str) -> Result<bool, JsonlError> {
@@ -1018,5 +1029,16 @@ mod tests {
         let e = replay(&format!("{good}\n{{bad"), &mut sink).unwrap_err();
         assert_eq!(e.line, 2);
         assert_eq!(sink.timeline().len(), 1);
+        // An integer field takes only an integer in range: a float's
+        // text, an exponent or a value past u64::MAX fails at its line.
+        for cycles in ["1.0", "1e3", "18446744073709551616"] {
+            let bad = format!(
+                "{{\"at\":2,\"ev\":\"si_executed\",\"task\":0,\"si\":0,\"hw\":true,\"cycles\":{cycles}}}"
+            );
+            let mut sink = TimelineSink::new();
+            let e = replay(&format!("{good}\n{bad}"), &mut sink).unwrap_err();
+            assert_eq!(e.line, 2, "{cycles}");
+            assert!(e.message.contains("\"cycles\""), "{cycles}: {e}");
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! * [`NullSink`] / [`SinkHandle::null`] — observability off. A disabled
 //!   handle costs one branch per event site and never constructs the
 //!   event.
-//! * [`CountersSink`] — aggregate statistics: per-SI execution counters,
-//!   latency histograms, forecast hit/miss counters, rotation totals.
+//! * [`CountersSink`] — per-SI execution counters and forecast
+//!   issued/retracted/hit/miss counters, for callers that ask about one
+//!   SI.
 //! * [`TimelineSink`] — the full ordered event [`Timeline`] behind the
 //!   paper's Fig. 6 timelines and the waveform renderer.
 //! * [`JsonlSink`] — streaming JSON Lines export; [`jsonl::replay`]
@@ -25,7 +26,7 @@
 //!   `ForecastUpdated → Reselect → rotations → first hardware execution`
 //!   into per-`(task, si)` time-to-hardware stories (Fig. 6 as data).
 //! * [`MetricsSink`] — a run's numbers: the event count, the all-SI
-//!   latency histogram and time-weighted gauges (container occupancy,
+//!   [`LatencyHistogram`] and time-weighted gauges (container occupancy,
 //!   logic utilization, rotation-bus busyness, forecast
 //!   precision/recall, cycles saved vs software); with a
 //!   Prometheus-style text exposition.
@@ -72,6 +73,7 @@ pub mod bin;
 pub mod counters;
 pub mod event;
 pub mod jsonl;
+pub mod latency;
 pub mod metrics;
 pub mod sink;
 pub mod span;
@@ -81,9 +83,10 @@ pub mod window;
 
 pub use alert::{AlertEngine, AlertOp, AlertRule, AlertStatus};
 pub use bin::{BinError, BinarySink, StreamDecoder};
-pub use counters::{CountersSink, FcCounters, LatencyHistogram, SiCounters};
+pub use counters::{CountersSink, FcCounters, SiCounters};
 pub use event::{Event, Record, ReselectTrigger, TaskId, MAX_CONTAINERS};
 pub use jsonl::{JsonlError, JsonlSink};
+pub use latency::LatencyHistogram;
 pub use metrics::{ForecastStats, MetricsSink, MetricsSummary};
 pub use sink::{EventSink, NullSink, SinkHandle};
 pub use span::{LadderStep, Span, SpanBuilder, SpanClose};

@@ -21,8 +21,8 @@ use std::fmt::Write as _;
 use rispp_core::atom::AtomKind;
 use rispp_core::si::SiId;
 
-use crate::counters::LatencyHistogram;
 use crate::event::{Event, TaskId};
+use crate::latency::LatencyHistogram;
 use crate::sink::EventSink;
 
 /// Per-container time accounting.
@@ -41,7 +41,7 @@ impl ContainerTrack {
         let open = self
             .loaded
             .map_or(0, |(_, since)| now.saturating_sub(since));
-        self.loaded_cycles + open
+        self.loaded_cycles.saturating_add(open)
     }
 
     fn weighted_until(&self, now: u64, weights: &[f64]) -> f64 {
@@ -208,10 +208,12 @@ impl MetricsSummary {
             other.hw_fraction,
             other.executions_total,
         );
-        self.elapsed_cycles += other.elapsed_cycles;
-        self.rotations_completed += other.rotations_completed;
-        self.forecast_windows += other.forecast_windows;
-        self.executions_total += other.executions_total;
+        self.elapsed_cycles = self.elapsed_cycles.saturating_add(other.elapsed_cycles);
+        self.rotations_completed = self
+            .rotations_completed
+            .saturating_add(other.rotations_completed);
+        self.forecast_windows = self.forecast_windows.saturating_add(other.forecast_windows);
+        self.executions_total = self.executions_total.saturating_add(other.executions_total);
         self.cycles_saved_vs_sw = self
             .cycles_saved_vs_sw
             .saturating_add(other.cycles_saved_vs_sw);
@@ -486,6 +488,15 @@ impl MetricsSink {
         &mut self.containers[index]
     }
 
+    /// Ends the port's busy interval, if one is open, at `at`.
+    fn close_bus(&mut self, at: u64) {
+        if let Some(since) = self.bus_busy_since.take() {
+            self.bus_busy_cycles = self
+                .bus_busy_cycles
+                .saturating_add(at.saturating_sub(since));
+        }
+    }
+
     fn container_count(&self) -> usize {
         self.fixed_containers.unwrap_or(self.containers.len())
     }
@@ -512,11 +523,10 @@ impl MetricsSink {
         if self.now == 0 || n == 0 {
             return 0.0;
         }
-        let loaded: u64 = self
+        let loaded = self
             .containers
             .iter()
-            .map(|c| c.loaded_until(self.now))
-            .sum();
+            .fold(0u64, |sum, c| sum.saturating_add(c.loaded_until(self.now)));
         loaded as f64 / (self.now as f64 * n as f64)
     }
 
@@ -565,7 +575,7 @@ impl MetricsSink {
         let open = self
             .bus_busy_since
             .map_or(0, |since| self.now.saturating_sub(since));
-        (self.bus_busy_cycles + open) as f64 / self.now as f64
+        self.bus_busy_cycles.saturating_add(open) as f64 / self.now as f64
     }
 
     /// Rotations started / completed.
@@ -726,15 +736,11 @@ impl EventSink for MetricsSink {
             }
             Event::RotationCompleted { .. } => {
                 self.rotations_completed += 1;
-                if let Some(since) = self.bus_busy_since.take() {
-                    self.bus_busy_cycles += at.saturating_sub(since);
-                }
+                self.close_bus(at);
             }
             Event::RotationFailed { .. } => {
                 self.rotations_failed += 1;
-                if let Some(since) = self.bus_busy_since.take() {
-                    self.bus_busy_cycles += at.saturating_sub(since);
-                }
+                self.close_bus(at);
             }
             Event::ContainerLoaded { container, kind } => {
                 let track = self.track(*container as usize);
@@ -748,8 +754,9 @@ impl EventSink for MetricsSink {
                 if let Some((kind, since)) = self.containers[idx].loaded.take() {
                     let held = at.saturating_sub(since);
                     let weighted = held as f64 * weight_of(&self.weights, kind);
-                    self.containers[idx].loaded_cycles += held;
-                    self.containers[idx].weighted_cycles += weighted;
+                    let track = &mut self.containers[idx];
+                    track.loaded_cycles = track.loaded_cycles.saturating_add(held);
+                    track.weighted_cycles += weighted;
                 }
             }
             Event::SiExecuted {
@@ -771,7 +778,8 @@ impl EventSink for MetricsSink {
                 if *hw {
                     self.hw_executions += 1;
                     if let Some(baseline) = *baseline {
-                        self.cycles_saved += baseline.saturating_sub(*cycles);
+                        let saved = baseline.saturating_sub(*cycles);
+                        self.cycles_saved = self.cycles_saved.saturating_add(saved);
                     }
                 } else {
                     *baseline = Some(*cycles);
@@ -1197,5 +1205,54 @@ mod tests {
         assert_eq!(*m.latency(), hand);
         assert_eq!(m.latency().sum_cycles(), 529);
         assert_eq!((m.latency().min(), m.latency().max()), (Some(9), Some(500)));
+    }
+
+    #[test]
+    fn values_near_u64_max_saturate_instead_of_overflowing() {
+        let exec = |hw, cycles| Event::SiExecuted {
+            task: 0,
+            si: SiId(0),
+            hw,
+            cycles,
+            molecule: None,
+        };
+        // A software baseline of u64::MAX cycles: two hardware executions
+        // each save almost that much.
+        let mut m = MetricsSink::new();
+        for (at, e) in [exec(false, u64::MAX), exec(true, 1), exec(true, 1)]
+            .iter()
+            .enumerate()
+        {
+            m.emit(at as u64, e);
+        }
+        assert_eq!(m.cycles_saved_vs_sw(), u64::MAX);
+
+        // Two containers loaded from 0 to the end of the clock: their
+        // loaded cycles sum past u64::MAX and saturate, so the gauge
+        // reads low instead of wrapping.
+        let mut m = MetricsSink::new().with_containers(2);
+        for container in 0..2 {
+            m.emit(
+                0,
+                &Event::ContainerLoaded {
+                    container,
+                    kind: AtomKind(0),
+                },
+            );
+        }
+        m.advance_to(u64::MAX);
+        assert!((0.0..=1.0).contains(&m.fabric_occupancy()));
+
+        // A summary at the end of the clock, merged with itself.
+        let summary = m.summary();
+        assert_eq!(summary.elapsed_cycles, u64::MAX);
+        assert_eq!(summary.merged(&summary).elapsed_cycles, u64::MAX);
+
+        // One event at the last cycle of the clock into a window.
+        let mut w = crate::window::WindowSink::new(crate::window::WindowConfig::new(1, 4));
+        w.emit(u64::MAX, &exec(false, 1));
+        let snap = w.snapshot();
+        assert_eq!((snap.newest, snap.executions), (u64::MAX, 1));
+        assert_eq!(snap.window_cycles, 4);
     }
 }

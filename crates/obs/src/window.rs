@@ -18,8 +18,8 @@
 
 use std::fmt::Write as _;
 
-use crate::counters::LatencyHistogram;
 use crate::event::Event;
+use crate::latency::LatencyHistogram;
 use crate::sink::EventSink;
 
 /// Shape of the sliding window: `buckets` buckets of `bucket_cycles`
@@ -320,7 +320,7 @@ impl WindowSink {
         }
         let first_fresh = if idx - self.current >= self.config.buckets as u64 {
             // The jump cleared the whole ring: every slot is fresh.
-            idx + 1 - self.config.buckets as u64
+            idx - (self.config.buckets as u64 - 1)
         } else {
             self.current + 1
         };
@@ -376,8 +376,9 @@ impl WindowSink {
         let oldest = self.oldest_index();
         let mut snap = WindowSnapshot {
             // Covered span: from the start of the oldest in-window
-            // bucket through `now` inclusive.
-            window_cycles: self.now + 1 - oldest * self.config.bucket_cycles,
+            // bucket through `now` inclusive. A span of the whole 2^64
+            // cycle clock saturates.
+            window_cycles: (self.now - oldest * self.config.bucket_cycles).saturating_add(1),
             newest: self.now,
             late_events: self.late_events,
             ..WindowSnapshot::default()

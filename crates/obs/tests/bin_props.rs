@@ -6,6 +6,8 @@
 //! arbitrary chunk sizes. Small-field `SiExecuted` streams, whose fields
 //! sit on either side of the fixed layout the encoder and the decoder
 //! special-case, round-trip through the decoder in random chunkings.
+//! The same random streams round-trip through the JSONL export too, so
+//! both codecs return any `u64` timestamp, `until` and `cycles` exactly.
 
 use proptest::prelude::*;
 use rispp_core::atom::AtomKind;
@@ -13,7 +15,8 @@ use rispp_core::molecule::Molecule;
 use rispp_core::si::SiId;
 use rispp_obs::bin::{self, StreamDecoder};
 use rispp_obs::{
-    BinarySink, Event, EventSink, Record, ReselectTrigger, TimelineSink, MAX_CONTAINERS,
+    jsonl, BinarySink, Event, EventSink, JsonlSink, Record, ReselectTrigger, TimelineSink,
+    MAX_CONTAINERS,
 };
 
 fn molecule_strategy() -> impl Strategy<Value = Molecule> {
@@ -219,6 +222,18 @@ proptest! {
         let bytes = encode(&records);
         let mut out = TimelineSink::new();
         bin::replay(&bytes, &mut out).expect("own encoding replays");
+        prop_assert_eq!(out.timeline().entries(), records.as_slice());
+    }
+
+    #[test]
+    fn any_event_sequence_round_trips_through_jsonl(records in records_strategy()) {
+        let mut sink = JsonlSink::new(Vec::new());
+        for r in &records {
+            sink.emit(r.at, &r.event);
+        }
+        let text = String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8");
+        let mut out = TimelineSink::new();
+        jsonl::replay(&text, &mut out).expect("own encoding replays");
         prop_assert_eq!(out.timeline().entries(), records.as_slice());
     }
 

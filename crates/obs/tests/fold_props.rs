@@ -114,7 +114,9 @@ impl PlainMetrics {
                     self.rotations_completed += 1;
                 }
                 if let Some(since) = self.bus_busy_since.take() {
-                    self.bus_busy_cycles += at.saturating_sub(since);
+                    self.bus_busy_cycles = self
+                        .bus_busy_cycles
+                        .saturating_add(at.saturating_sub(since));
                 }
             }
             Event::ContainerLoaded { container, kind } => {
@@ -130,7 +132,7 @@ impl PlainMetrics {
                 if let Some((kind, since)) = self.containers[c].0.take() {
                     let held = at.saturating_sub(since);
                     let weighted = held as f64 * self.weight(kind);
-                    self.containers[c].1 += held;
+                    self.containers[c].1 = self.containers[c].1.saturating_add(held);
                     self.containers[c].2 += weighted;
                 }
             }
@@ -156,7 +158,9 @@ impl PlainMetrics {
                 if *hw {
                     self.hw_executions += 1;
                     if let Some(&baseline) = self.sw_baseline.get(&si.index()) {
-                        self.cycles_saved += baseline.saturating_sub(*cycles);
+                        self.cycles_saved = self
+                            .cycles_saved
+                            .saturating_add(baseline.saturating_sub(*cycles));
                     }
                 } else {
                     self.sw_baseline.insert(si.index(), *cycles);
@@ -189,7 +193,7 @@ impl PlainMetrics {
         let (mut loaded, mut weighted) = (0u64, 0.0f64);
         for (open, loaded_cycles, weighted_cycles) in &self.containers {
             let held = open.map_or(0, |(_, since)| self.now.saturating_sub(since));
-            loaded += loaded_cycles + held;
+            loaded = loaded.saturating_add(loaded_cycles.saturating_add(held));
             weighted += weighted_cycles
                 + open.map_or(0.0, |(kind, since)| {
                     self.now.saturating_sub(since) as f64 * self.weight(kind)
@@ -208,7 +212,7 @@ impl PlainMetrics {
             let open = self
                 .bus_busy_since
                 .map_or(0, |since| self.now.saturating_sub(since));
-            (self.bus_busy_cycles + open) as f64 / self.now as f64
+            self.bus_busy_cycles.saturating_add(open) as f64 / self.now as f64
         };
         let executions = self.latency.count();
         MetricsSummary {
@@ -292,7 +296,7 @@ impl PlainWindow {
             self.current = idx;
             self.claim(idx);
         } else if idx > self.current {
-            let first = (self.current + 1).max((idx + 1).saturating_sub(self.ring.len() as u64));
+            let first = (self.current + 1).max(idx.saturating_sub(self.ring.len() as u64 - 1));
             for index in first..=idx {
                 self.claim(index);
             }
@@ -323,7 +327,7 @@ impl PlainWindow {
         }
         let oldest = self.oldest();
         let mut snap = WindowSnapshot {
-            window_cycles: self.now + 1 - oldest * self.bucket_cycles,
+            window_cycles: (self.now - oldest * self.bucket_cycles).saturating_add(1),
             newest: self.now,
             late_events: self.late_events,
             ..WindowSnapshot::default()
@@ -449,20 +453,24 @@ fn event_at(kind: u8, pair: (TaskId, usize), hw: bool, cycles: u64, small: u32) 
     }
 }
 
-/// A stream: timestamped events over a pool of up to six pairs. Both
-/// folds add latencies and loaded cycles with plain `+=`, which
-/// overflows near `u64::MAX`, so cycles stay below 2^32 and timestamps
-/// below 2^57.
+/// A stream: timestamped events over a pool of up to six pairs, with
+/// cycles of any size and start times up to the end of the clock, where
+/// both folds' sums saturate at `u64::MAX`.
 fn stream_strategy() -> impl Strategy<Value = Vec<(u64, Event)>> {
     (
         proptest::collection::vec((task_strategy(), si_strategy()), 1..7),
-        prop_oneof![0u64..1_000, Just(1 << 40), Just(u64::MAX >> 8)],
+        prop_oneof![
+            0u64..1_000,
+            Just(1 << 40),
+            Just(u64::MAX >> 8),
+            (u64::MAX - 100_000)..=u64::MAX,
+        ],
         proptest::collection::vec(
             (
                 (step_strategy(), 0u8..18),
                 0usize..6,
                 any::<bool>(),
-                prop_oneof![0u64..600, 0u64..(1 << 32)],
+                prop_oneof![0u64..600, 0u64..(1 << 32), any::<u64>()],
                 any::<u32>(),
             ),
             0..160,

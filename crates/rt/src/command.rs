@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn rotate_bills_and_attributes() {
         let mut f = fabric();
-        let mut ledger = StatsLedger::new(1);
+        let mut ledger = StatsLedger::new();
         apply(
             &mut f,
             &mut ledger,
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn failed_rotate_bills_nothing() {
         let mut f = fabric();
-        let mut ledger = StatsLedger::new(1);
+        let mut ledger = StatsLedger::new();
         let err = apply(
             &mut f,
             &mut ledger,
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn cancel_refunds_queued_but_not_in_flight() {
         let mut f = fabric();
-        let mut ledger = StatsLedger::new(1);
+        let mut ledger = StatsLedger::new();
         // First rotation starts immediately; the second queues behind the
         // single reconfiguration port.
         for (victim, kind, bytes) in [(0, 0, 6_920), (1, 1, 1_000)] {

@@ -10,8 +10,8 @@
 //! * [`rotation`] — the rotation schedule planned by a
 //!   [`rotation::RotationSchedulePolicy`] ("Rotation in Advance") and the
 //!   retry-backoff governor for fabric faults;
-//! * [`stats`] — pure accumulation of execution, forecast and rotation
-//!   accounting;
+//! * [`stats`] — the execution record and the bill of requested
+//!   rotations (per-SI counts are a fold of the event stream);
 //! * [`policy`] — Atom-Container replacement: the rotation victim rule;
 //! * `dispatch` (internal) — each SI's fastest loaded Molecule and its
 //!   LRU touch set, cached until the fabric's loaded Atoms change;
@@ -56,7 +56,7 @@ pub use rotation::{
 pub use selection::{
     DemandWeights, ExhaustiveSelection, GreedySelection, PowerMode, SelectionPolicy, SelectionStage,
 };
-pub use stats::{EnergyReport, ExecutionRecord, FcStats, SiStats, StatsLedger};
+pub use stats::{ExecutionRecord, StatsLedger};
 // The platform's single time base, re-exported so run-time code can name
 // the shared clock without depending on `rispp-fabric` directly.
 pub use rispp_fabric::clock::Clock;

@@ -18,8 +18,9 @@
 //! The stages are pure: they map state to decision values. The manager is
 //! the only place those values become effects — every fabric mutation
 //! flows through one [`Command`] application
-//! site, every counter through the [`StatsLedger`], every event through
-//! the shared sink. SI execution always uses the fastest Molecule the
+//! site, which also bills requested rotations to the [`StatsLedger`], and
+//! every event through the shared sink; per-SI counts are a fold of that
+//! event stream. SI execution always uses the fastest Molecule the
 //! *currently loaded* Atoms support, falling back to the software
 //! Molecule — so execution upgrades gradually while rotations complete,
 //! exactly the T4/T5 steps of the paper's Fig. 6 scenario.
@@ -40,7 +41,7 @@ use crate::stats::StatsLedger;
 
 pub use crate::rotation::{RetryPolicy, RotationStrategy};
 pub use crate::selection::{ExhaustiveSelection, GreedySelection, PowerMode};
-pub use crate::stats::{EnergyReport, ExecutionRecord, FcStats, SiStats};
+pub use crate::stats::ExecutionRecord;
 pub use crate::TaskId;
 
 mod builder;
@@ -173,7 +174,6 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// Handles an FC event: task `task` announces (or updates) a forecast
     /// for an SI. Triggers re-selection and rotation scheduling.
     pub fn forecast(&mut self, task: TaskId, value: ForecastValue) {
-        self.ledger.note_forecast_issued(value.si);
         self.sink
             .emit_with(self.fabric.now(), || Event::ForecastUpdated {
                 task,
@@ -195,7 +195,6 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     {
         let mut any = false;
         for value in values {
-            self.ledger.note_forecast_issued(value.si);
             self.sink
                 .emit_with(self.fabric.now(), || Event::ForecastUpdated {
                     task,
@@ -214,7 +213,6 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// Handles a negative FC: the SI is forecast to be no longer needed by
     /// `task` (the T2 step of Fig. 6). Frees its Atoms for other demands.
     pub fn retract_forecast(&mut self, task: TaskId, si: SiId) {
-        self.ledger.note_forecast_retracted(si);
         self.sink
             .emit(self.fabric.now(), &Event::ForecastRetracted { task, si });
         self.forecasts.retract(task, si);
@@ -231,7 +229,6 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
         observed_distance: f64,
         observed_executions: f64,
     ) {
-        self.ledger.note_fc_outcome(si, reached);
         self.sink
             .emit(self.fabric.now(), &Event::FcOutcome { task, si, reached });
         self.forecasts
@@ -240,7 +237,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     }
 
     /// Executes one SI for `task` using the fastest loaded Molecule, or
-    /// software when none fits. Updates LRU metadata and statistics. The
+    /// software when none fits, and updates LRU metadata. The
     /// choice is cached per SI until a container changes state (see
     /// [`Fabric::loaded_revision`]), so a dispatch between two rotation
     /// events costs an index lookup.
@@ -291,7 +288,6 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
                 hardware: false,
             },
         };
-        self.ledger.record_execution(&record);
         self.sink
             .emit_with(self.fabric.now(), || Event::SiExecuted {
                 task,

@@ -129,7 +129,6 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<S, R> {
             self.fabric.atoms().len(),
             "SI library and fabric must agree on the atom kinds"
         );
-        let ledger = StatsLedger::new(self.lib.len());
         let dispatch = DispatchTable::new(self.lib.len(), self.fabric.num_containers());
         let mut fabric = self.fabric;
         fabric.set_sink(SinkHandle::tee(fabric.sink().clone(), self.sink.clone()));
@@ -139,7 +138,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<S, R> {
             forecasts: ForecastStore::new(SMOOTHING),
             selector: SelectionStage::new(self.selection_policy, self.power_mode),
             scheduler: self.schedule_policy,
-            ledger,
+            ledger: StatsLedger::new(),
             backoff: BackoffGovernor::new(RetryPolicy::default()),
             dispatch,
             sink: self.sink,

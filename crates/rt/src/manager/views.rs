@@ -1,18 +1,16 @@
 //! Read-only views of a [`RisppManager`]: accessors over the platform
-//! state and the accumulated statistics. Nothing here mutates — every
+//! state and its rotation bill. Nothing here mutates — every
 //! state change lives in the parent module's decision loop.
 
 use rispp_core::atom::AtomKind;
-use rispp_core::energy::EnergyModel;
 use rispp_core::molecule::Molecule;
-use rispp_core::si::{SiId, SiLibrary};
+use rispp_core::si::SiLibrary;
 use rispp_fabric::clock::Clock;
 use rispp_fabric::fabric::Fabric;
 use rispp_obs::SinkHandle;
 
 use crate::rotation::RotationSchedulePolicy;
 use crate::selection::SelectionPolicy;
-use crate::stats::{EnergyReport, FcStats, SiStats};
 
 use super::RisppManager;
 
@@ -85,29 +83,10 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
         self.ledger.rotations_requested()
     }
 
-    /// Per-SI execution statistics.
-    #[must_use]
-    pub fn stats(&self, si: SiId) -> SiStats {
-        self.ledger.si_stats(si)
-    }
-
-    /// Per-SI forecast monitoring statistics.
-    #[must_use]
-    pub fn fc_stats(&self, si: SiId) -> FcStats {
-        self.ledger.fc_stats(si)
-    }
-
     /// Total bitstream bytes of all (non-cancelled) requested rotations.
     #[must_use]
     pub fn rotation_bytes(&self) -> u64 {
         self.ledger.rotation_bytes()
-    }
-
-    /// Energy totals of the run so far under `model` (paper §4.1's energy
-    /// accounting: execution energy split SW/HW plus rotation transfers).
-    #[must_use]
-    pub fn energy_report(&self, model: &EnergyModel) -> EnergyReport {
-        self.ledger.energy_report(model)
     }
 
     /// Cycle at which all queued rotations will have completed.

@@ -1,15 +1,12 @@
-//! Statistics stage: pure accumulation of execution, forecast-monitoring
-//! and rotation-accounting totals.
+//! Statistics stage: the execution record and the manager's bill of
+//! requested rotations.
 //!
-//! The [`StatsLedger`] is the only place run-time counters live. It never
-//! touches the fabric or emits events — the imperative shell
-//! ([`RisppManager`](crate::manager::RisppManager)) feeds it facts
-//! (an execution happened, a rotation was requested or cancelled, a
-//! forecast settled) and reads totals back out. Because the ledger is a
-//! plain value, every accounting rule is unit-testable without a
-//! platform.
+//! Per-SI execution and forecast counts are not kept here: they are a
+//! fold of the event stream (`rispp_obs::CountersSink`). The
+//! [`StatsLedger`] keeps the one count no event carries. It never touches
+//! the fabric or emits events; [`command`](crate::command) feeds it each
+//! rotation the manager requests or cancels.
 
-use rispp_core::energy::EnergyModel;
 use rispp_core::si::SiId;
 
 /// Outcome of one SI execution through the manager.
@@ -23,138 +20,23 @@ pub struct ExecutionRecord {
     pub hardware: bool,
 }
 
-/// Per-SI execution statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SiStats {
-    /// Hardware executions.
-    pub hw_executions: u64,
-    /// Software executions.
-    pub sw_executions: u64,
-    /// Total cycles spent in this SI.
-    pub cycles: u64,
-    /// Cycles spent in hardware Molecules (subset of `cycles`).
-    pub hw_cycles: u64,
-}
-
-impl SiStats {
-    /// Cycles spent in the software Molecule.
-    #[must_use]
-    pub fn sw_cycles(&self) -> u64 {
-        self.cycles - self.hw_cycles
-    }
-}
-
-/// Per-SI forecast monitoring statistics (the paper's run-time task (a):
-/// "Monitoring FCs and SIs in order to fine-tune the profiling
-/// information").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FcStats {
-    /// Forecasts announced for this SI (over all tasks).
-    pub issued: u64,
-    /// Negative forecasts (retractions).
-    pub retracted: u64,
-    /// Recorded outcomes where the SI was actually reached.
-    pub hits: u64,
-    /// Recorded outcomes where it was not.
-    pub misses: u64,
-}
-
-impl FcStats {
-    /// Fraction of recorded outcomes that were hits (`None` before any
-    /// outcome was recorded).
-    #[must_use]
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / total as f64)
-        }
-    }
-}
-
-/// Energy totals of a manager's run under an [`EnergyModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnergyReport {
-    /// Energy of software SI executions, in joules.
-    pub sw_execution_j: f64,
-    /// Energy of hardware SI executions, in joules.
-    pub hw_execution_j: f64,
-    /// Energy of bitstream transfers (rotations), in joules.
-    pub rotation_j: f64,
-}
-
-impl EnergyReport {
-    /// Total energy in joules.
-    #[must_use]
-    pub fn total_j(&self) -> f64 {
-        self.sw_execution_j + self.hw_execution_j + self.rotation_j
-    }
-}
-
-/// Accumulated run statistics: per-SI execution and forecast-monitoring
-/// counters plus rotation accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The manager's bill of requested rotations and their bitstream bytes.
+///
+/// This count stays out of the event stream's folds because no event
+/// marks a request: a rotation is billed when the manager queues it and
+/// refunded when a re-selection cancels it, and a queued rotation that is
+/// cancelled before it starts never emits `RotationStarted`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsLedger {
-    si: Vec<SiStats>,
-    fc: Vec<FcStats>,
     rotations_requested: u64,
     rotation_bytes: u64,
 }
 
 impl StatsLedger {
-    /// Creates a ledger covering `len` SIs.
+    /// Creates an empty ledger.
     #[must_use]
-    pub fn new(len: usize) -> Self {
-        StatsLedger {
-            si: vec![SiStats::default(); len],
-            fc: vec![FcStats::default(); len],
-            rotations_requested: 0,
-            rotation_bytes: 0,
-        }
-    }
-
-    /// Per-SI execution statistics.
-    #[must_use]
-    pub fn si_stats(&self, si: SiId) -> SiStats {
-        self.si[si.index()]
-    }
-
-    /// Per-SI forecast monitoring statistics.
-    #[must_use]
-    pub fn fc_stats(&self, si: SiId) -> FcStats {
-        self.fc[si.index()]
-    }
-
-    /// Records one SI execution.
-    pub fn record_execution(&mut self, record: &ExecutionRecord) {
-        let s = &mut self.si[record.si.index()];
-        if record.hardware {
-            s.hw_executions += 1;
-            s.hw_cycles += record.cycles;
-        } else {
-            s.sw_executions += 1;
-        }
-        s.cycles += record.cycles;
-    }
-
-    /// Records that a forecast was announced for `si`.
-    pub fn note_forecast_issued(&mut self, si: SiId) {
-        self.fc[si.index()].issued += 1;
-    }
-
-    /// Records a negative forecast (retraction) for `si`.
-    pub fn note_forecast_retracted(&mut self, si: SiId) {
-        self.fc[si.index()].retracted += 1;
-    }
-
-    /// Records a monitored forecast outcome for `si`.
-    pub fn note_fc_outcome(&mut self, si: SiId, reached: bool) {
-        if reached {
-            self.fc[si.index()].hits += 1;
-        } else {
-            self.fc[si.index()].misses += 1;
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Bills one requested rotation of `bitstream_bytes`.
@@ -181,89 +63,19 @@ impl StatsLedger {
     pub fn rotation_bytes(&self) -> u64 {
         self.rotation_bytes
     }
-
-    /// Energy totals of the run so far under `model` (paper §4.1's energy
-    /// accounting: execution energy split SW/HW plus rotation transfers).
-    #[must_use]
-    pub fn energy_report(&self, model: &EnergyModel) -> EnergyReport {
-        let mut report = EnergyReport {
-            rotation_j: model.rotation_energy_j(self.rotation_bytes),
-            ..EnergyReport::default()
-        };
-        for s in &self.si {
-            report.sw_execution_j += model.sw_execution_energy_j(s.sw_cycles());
-            report.hw_execution_j += model.hw_execution_energy_j(s.hw_cycles);
-        }
-        report
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(si: usize, cycles: u64, hardware: bool) -> ExecutionRecord {
-        ExecutionRecord {
-            si: SiId(si),
-            cycles,
-            hardware,
-        }
-    }
-
-    #[test]
-    fn executions_split_hw_and_sw() {
-        let mut ledger = StatsLedger::new(2);
-        ledger.record_execution(&rec(0, 500, false));
-        ledger.record_execution(&rec(0, 20, true));
-        ledger.record_execution(&rec(1, 400, false));
-        let s = ledger.si_stats(SiId(0));
-        assert_eq!((s.sw_executions, s.hw_executions), (1, 1));
-        assert_eq!(s.cycles, 520);
-        assert_eq!(s.hw_cycles, 20);
-        assert_eq!(s.sw_cycles(), 500);
-        assert_eq!(ledger.si_stats(SiId(1)).sw_executions, 1);
-    }
-
     #[test]
     fn rotation_billing_nets_out_cancellations() {
-        let mut ledger = StatsLedger::new(1);
+        let mut ledger = StatsLedger::new();
         ledger.note_rotation_requested(1_000);
         ledger.note_rotation_requested(2_000);
         ledger.note_rotation_cancelled(2_000);
         assert_eq!(ledger.rotations_requested(), 1);
         assert_eq!(ledger.rotation_bytes(), 1_000);
-    }
-
-    #[test]
-    fn fc_counters_accumulate() {
-        let mut ledger = StatsLedger::new(1);
-        ledger.note_forecast_issued(SiId(0));
-        ledger.note_forecast_issued(SiId(0));
-        ledger.note_forecast_retracted(SiId(0));
-        ledger.note_fc_outcome(SiId(0), true);
-        ledger.note_fc_outcome(SiId(0), false);
-        let fc = ledger.fc_stats(SiId(0));
-        assert_eq!((fc.issued, fc.retracted), (2, 1));
-        assert_eq!((fc.hits, fc.misses), (1, 1));
-        assert_eq!(fc.hit_rate(), Some(0.5));
-    }
-
-    #[test]
-    fn hit_rate_is_none_before_outcomes() {
-        assert_eq!(StatsLedger::new(1).fc_stats(SiId(0)).hit_rate(), None);
-    }
-
-    #[test]
-    fn energy_report_covers_all_three_terms() {
-        let model = EnergyModel::default();
-        let mut ledger = StatsLedger::new(1);
-        ledger.record_execution(&rec(0, 500, false));
-        ledger.record_execution(&rec(0, 20, true));
-        ledger.note_rotation_requested(6_920);
-        let r = ledger.energy_report(&model);
-        assert!(r.sw_execution_j > 0.0);
-        assert!(r.hw_execution_j > 0.0);
-        assert!(r.rotation_j > 0.0);
-        assert!((r.total_j() - (r.sw_execution_j + r.hw_execution_j + r.rotation_j)).abs() < 1e-18);
     }
 }

@@ -14,7 +14,7 @@ use rispp_core::molecule::Molecule;
 use rispp_core::si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
 use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
 use rispp_fabric::fabric::{Fabric, FabricEvent};
-use rispp_obs::{Event, ReselectTrigger, SinkHandle};
+use rispp_obs::{CountersSink, Event, ReselectTrigger, SinkHandle};
 use rispp_rt::manager::{PowerMode, RetryPolicy, RisppManager, RotationStrategy};
 
 /// Two-kind platform with fast, equal rotation times for readability.
@@ -54,6 +54,21 @@ fn small_platform() -> (SiLibrary, Fabric, SiId, SiId) {
 
 fn fv(si: SiId, execs: f64) -> ForecastValue {
     ForecastValue::new(si, 1.0, 50_000.0, execs)
+}
+
+/// A manager over `small_platform` with a [`CountersSink`] attached: the
+/// per-SI counts are a fold of the manager's event stream.
+fn counted_platform() -> (
+    RisppManager,
+    std::rc::Rc<std::cell::RefCell<CountersSink>>,
+    SiId,
+) {
+    let (lib, fabric, s0, _) = small_platform();
+    let counters = std::rc::Rc::new(std::cell::RefCell::new(CountersSink::new()));
+    let mgr = RisppManager::builder(lib, fabric)
+        .sink(SinkHandle::shared(counters.clone()))
+        .build();
+    (mgr, counters, s0)
 }
 
 /// Advances past every queued and in-flight rotation and returns the
@@ -130,11 +145,10 @@ fn retraction_frees_atoms_for_other_task() {
 
 #[test]
 fn stats_accumulate() {
-    let (lib, fabric, s0, _) = small_platform();
-    let mut mgr = RisppManager::builder(lib, fabric).build();
+    let (mut mgr, counters, s0) = counted_platform();
     mgr.execute_si(0, s0);
     mgr.execute_si(0, s0);
-    let s = mgr.stats(s0);
+    let s = counters.borrow().si(s0);
     assert_eq!(s.sw_executions, 2);
     assert_eq!(s.hw_executions, 0);
     assert_eq!(s.cycles, 1000);
@@ -159,15 +173,14 @@ fn observation_reweights_selection() {
 
 #[test]
 fn fc_stats_track_monitoring() {
-    let (lib, fabric, s0, _) = small_platform();
-    let mut mgr = RisppManager::builder(lib, fabric).build();
+    let (mut mgr, counters, s0) = counted_platform();
     mgr.forecast(0, fv(s0, 10.0));
     mgr.forecast(1, fv(s0, 10.0));
     mgr.record_fc_outcome(0, s0, true, 1_000.0, 5.0);
     mgr.record_fc_outcome(0, s0, false, 0.0, 0.0);
     mgr.record_fc_outcome(0, s0, true, 1_000.0, 5.0);
     mgr.retract_forecast(1, s0);
-    let fc = mgr.fc_stats(s0);
+    let fc = counters.borrow().fc(s0);
     assert_eq!(fc.issued, 2);
     assert_eq!(fc.retracted, 1);
     assert_eq!((fc.hits, fc.misses), (2, 1));
@@ -176,9 +189,11 @@ fn fc_stats_track_monitoring() {
 
 #[test]
 fn fc_stats_empty_hit_rate_is_none() {
-    let (lib, fabric, s0, _) = small_platform();
-    let mgr = RisppManager::builder(lib, fabric).build();
-    assert_eq!(mgr.fc_stats(s0).hit_rate(), None);
+    let (mut mgr, counters, s0) = counted_platform();
+    assert_eq!(counters.borrow().fc(s0).hit_rate(), None);
+    // A forecast is not an outcome.
+    mgr.forecast(0, fv(s0, 10.0));
+    assert_eq!(counters.borrow().fc(s0).hit_rate(), None);
 }
 
 #[test]
@@ -252,24 +267,34 @@ fn reselects_count_every_fc_event() {
 #[test]
 fn energy_report_accounts_all_three_terms() {
     use rispp_core::energy::EnergyModel;
-    let (lib, fabric, s0, _) = small_platform();
-    let mut mgr = RisppManager::builder(lib, fabric).build();
+    let (mut mgr, counters, s0) = counted_platform();
     let model = EnergyModel::default();
+    // The three terms of the paper's energy accounting: software and
+    // hardware execution energy from the per-SI cycles, transfer energy
+    // from the billed bitstream bytes.
+    let terms = |mgr: &RisppManager| {
+        let s = counters.borrow().si(s0);
+        (
+            model.sw_execution_energy_j(s.sw_cycles()),
+            model.hw_execution_energy_j(s.hw_cycles),
+            model.rotation_energy_j(mgr.rotation_bytes()),
+        )
+    };
     // Pure software run: only SW execution energy.
     mgr.execute_si(0, s0);
-    let r = mgr.energy_report(&model);
-    assert!(r.sw_execution_j > 0.0);
-    assert_eq!(r.hw_execution_j, 0.0);
-    assert_eq!(r.rotation_j, 0.0);
+    let (sw, hw, rotation) = terms(&mgr);
+    assert!(sw > 0.0);
+    assert_eq!(hw, 0.0);
+    assert_eq!(rotation, 0.0);
     // Forecast → rotations add transfer energy; HW executions follow.
     mgr.forecast(0, fv(s0, 100.0));
     assert!(mgr.rotation_bytes() > 0);
     drain_rotations(&mut mgr);
     mgr.execute_si(0, s0);
-    let r2 = mgr.energy_report(&model);
-    assert!(r2.rotation_j > 0.0);
-    assert!(r2.hw_execution_j > 0.0);
-    assert!(r2.total_j() > r.total_j());
+    let (sw2, hw2, rotation2) = terms(&mgr);
+    assert!(rotation2 > 0.0);
+    assert!(hw2 > 0.0);
+    assert!(sw2 + hw2 + rotation2 > sw + hw + rotation);
 }
 
 #[test]
@@ -388,7 +413,7 @@ fn disabled_sink_changes_nothing() {
         let r = mgr.execute_si(0, s0);
         (r, mgr.rotations_requested(), mgr.target().clone())
     };
-    let observed = run(Some(SinkHandle::new(rispp_obs::CountersSink::default())));
+    let observed = run(Some(SinkHandle::new(CountersSink::default())));
     let silent = run(None);
     assert_eq!(observed, silent);
 }

@@ -214,7 +214,10 @@ mod tests {
         use rispp_core::si::{MoleculeImpl, SiLibrary, SpecialInstruction};
         use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
         use rispp_fabric::fabric::Fabric;
+        use rispp_obs::{CountersSink, SinkHandle};
         use rispp_rt::manager::RisppManager;
+        use std::cell::RefCell;
+        use std::rc::Rc;
 
         // AES trace program → ISA → run on the DLX core with a 2-atom
         // platform hosting the AES SIs.
@@ -241,7 +244,10 @@ mod tests {
             AtomHwProfile::new("SBox", 120, 240, 692),
             AtomHwProfile::new("Mix", 140, 280, 692),
         ]);
-        let mut mgr = RisppManager::builder(lib, Fabric::new(atoms, catalog, 4)).build();
+        let counters = Rc::new(RefCell::new(CountersSink::new()));
+        let mut mgr = RisppManager::builder(lib, Fabric::new(atoms, catalog, 4))
+            .sink(SinkHandle::shared(counters.clone()))
+            .build();
 
         let mut rng = StdRng::seed_from_u64(9);
         let fc = ForecastPoint {
@@ -258,7 +264,7 @@ mod tests {
         assert_eq!(summary.stop, StopReason::Halted);
         assert!(summary.si_hw > 0, "forecast never produced HW executions");
         // Most SubShift executions end in hardware.
-        let stats = mgr.stats(sis.sub_shift);
+        let stats = counters.borrow().si(sis.sub_shift);
         assert!(stats.hw_executions * 2 >= stats.sw_executions, "{stats:?}");
     }
 

@@ -199,7 +199,7 @@ mod tests {
     use rispp_core::si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
     use rispp_fabric::catalog::{AtomCatalog, AtomHwProfile};
     use rispp_fabric::fabric::Fabric;
-    use rispp_obs::{MetricsSink, SinkHandle, TimelineSink};
+    use rispp_obs::{CountersSink, MetricsSink, SinkHandle, TimelineSink};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -339,7 +339,8 @@ mod tests {
 
     #[test]
     fn monitoring_records_hits_and_misses() {
-        let (mut engine, si) = setup(SinkHandle::null());
+        let counters = Rc::new(RefCell::new(CountersSink::new()));
+        let (mut engine, si) = setup(SinkHandle::shared(counters.clone()));
         engine.enable_monitoring();
         let fv = || ForecastValue::new(si, 0.9, 30_000.0, 5.0);
         engine.add_task(Task::new(
@@ -359,7 +360,7 @@ mod tests {
             ],
         ));
         engine.run(100);
-        let fc = engine.manager().fc_stats(si);
+        let fc = counters.borrow().fc(si);
         assert_eq!((fc.hits, fc.misses), (1, 1));
         assert_eq!(fc.issued, 2);
         assert_eq!(fc.retracted, 1);
@@ -370,7 +371,8 @@ mod tests {
         // Task 0 keeps forecasting but never executes; task 1 both
         // forecasts and executes. With monitoring, task 0's probability
         // decays until task 1's demand owns the containers.
-        let (mut engine, si) = setup(SinkHandle::null());
+        let counters = Rc::new(RefCell::new(CountersSink::new()));
+        let (mut engine, si) = setup(SinkHandle::shared(counters.clone()));
         // A second SI on the same two Atom kinds but needing both atoms
         // differently is unnecessary — contention comes from capacity 2
         // with a (1,1) molecule; both demands want the same atoms, so the
@@ -382,7 +384,7 @@ mod tests {
         ];
         engine.add_task(Task::new(0, "liar", vec![Op::Repeat { body, times: 12 }]));
         engine.run(1_000);
-        let fc = engine.manager().fc_stats(si);
+        let fc = counters.borrow().fc(si);
         // Every re-forecast settles the previous watch as a miss.
         assert_eq!(fc.hits, 0);
         assert_eq!(fc.misses, 11);

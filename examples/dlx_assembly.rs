@@ -4,6 +4,9 @@
 //!
 //! Run with: `cargo run -p rispp --example dlx_assembly`
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rispp::h264::si_library::build_library;
 use rispp::prelude::*;
 use rispp::sim::asm::assemble;
@@ -32,7 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("assembled {} instructions\n", program.len());
 
     let (library, sis) = build_library();
-    let mut manager = RisppManager::builder(library, h264_fabric(6)).build();
+    let counters = Rc::new(RefCell::new(CountersSink::new()));
+    let mut manager = RisppManager::builder(library, h264_fabric(6))
+        .sink(SinkHandle::shared(counters.clone()))
+        .build();
     let mut cpu = Cpu::new(0);
     let summary = cpu.run(&program, &mut manager, 0, 1_000_000);
 
@@ -43,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "SI executions    : {} hardware + {} software",
         summary.si_hw, summary.si_sw
     );
-    let stats = manager.stats(sis.satd_4x4);
+    let stats = counters.borrow().si(sis.satd_4x4);
     println!(
         "SATD cycle split : {} SW cycles vs {} HW cycles",
         stats.sw_cycles(),

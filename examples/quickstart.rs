@@ -3,6 +3,9 @@
 //!
 //! Run with: `cargo run -p rispp --example quickstart`
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rispp::prelude::*;
 
 fn main() {
@@ -10,7 +13,11 @@ fn main() {
     // six Atom Containers, SelectMap-speed rotations (Table 1).
     let (library, sis) = rispp::h264::build_library();
     let fabric = rispp::sim::h264_fabric(6);
-    let mut manager = RisppManager::builder(library, fabric).build();
+    // Per-SI counts are a fold of the manager's event stream.
+    let counters = Rc::new(RefCell::new(CountersSink::new()));
+    let mut manager = RisppManager::builder(library, fabric)
+        .sink(SinkHandle::shared(counters.clone()))
+        .build();
 
     println!("== RISPP quickstart: rotating SATD_4x4 into hardware ==\n");
 
@@ -43,7 +50,7 @@ fn main() {
         }
     }
 
-    let stats = manager.stats(sis.satd_4x4);
+    let stats = counters.borrow().si(sis.satd_4x4);
     println!(
         "\n{} software + {} hardware executions, {} cycles total",
         stats.sw_executions, stats.hw_executions, stats.cycles

@@ -5,6 +5,9 @@
 //! sharing across tasks is what makes the tight schedule feasible without
 //! "time consuming reconfigurations" on every task switch.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rispp::h264::decoder::decode_frame;
 use rispp::h264::encoder::{encode_frame, EncoderConfig};
 use rispp::h264::si_library::build_library;
@@ -77,7 +80,10 @@ fn tv_tasks(sis: &rispp::h264::H264Sis, mbs: u32) -> (Task, Task) {
 #[test]
 fn encoder_and_decoder_share_atoms() {
     let (lib, sis) = build_library();
-    let manager = RisppManager::builder(lib, h264_fabric(6)).build();
+    let counters = Rc::new(RefCell::new(CountersSink::new()));
+    let manager = RisppManager::builder(lib, h264_fabric(6))
+        .sink(SinkHandle::shared(counters.clone()))
+        .build();
     let mut engine = Engine::new(manager);
     let (enc, dec) = tv_tasks(&sis, 24);
     engine.add_task(enc);
@@ -85,9 +91,8 @@ fn encoder_and_decoder_share_atoms() {
     engine.run(100_000);
 
     // Both tasks end up mostly in hardware.
-    let mgr = engine.manager();
-    let satd = mgr.stats(sis.satd_4x4);
-    let dct = mgr.stats(sis.dct_4x4);
+    let satd = counters.borrow().si(sis.satd_4x4);
+    let dct = counters.borrow().si(sis.dct_4x4);
     assert!(
         satd.hw_executions * 10 >= (satd.hw_executions + satd.sw_executions) * 7,
         "encoder SATD mostly SW: {satd:?}"
@@ -99,11 +104,8 @@ fn encoder_and_decoder_share_atoms() {
     // The decoder's DCT demand is served by the *same* loaded Atoms the
     // encoder's Molecules use: the fabric never needed more rotations
     // than one initial fill.
-    assert!(
-        mgr.rotations_requested() <= 10,
-        "rotations {}",
-        mgr.rotations_requested()
-    );
+    let requested = engine.manager().rotations_requested();
+    assert!(requested <= 10, "rotations {requested}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Cross-crate tests of the observability layer: the builder's policy
-//! knobs, [`CountersSink`] vs the manager's legacy statistics, and the
-//! JSONL export → replay round-trip on the full Fig. 6 scenario.
+//! knobs, the manager's re-selection count vs its `Reselect` events, and
+//! the JSONL export → replay round-trip on the full Fig. 6 scenario.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,7 +43,7 @@ fn builder_round_trips_every_knob() {
     let c = counters.borrow();
     assert_eq!(c.si(sis.satd_4x4).hw_executions, 1);
     assert_eq!(c.fc(sis.satd_4x4).issued, 1);
-    assert!(c.rotations_completed() > 0);
+    assert!(c.rotations_started() > 0);
 }
 
 #[test]
@@ -66,30 +66,21 @@ fn policy_knobs_change_the_type_not_the_semantics() {
 }
 
 #[test]
-fn counters_sink_matches_legacy_manager_stats() {
-    let counters = Rc::new(RefCell::new(CountersSink::new()));
-    let (mut engine, sis) =
-        ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::shared(counters.clone()));
+fn manager_reselects_equal_the_reselect_events_of_fig6() {
+    let live = Rc::new(RefCell::new(TimelineSink::new()));
+    let (mut engine, _) =
+        ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::shared(live.clone()));
     engine.run(100_000);
 
-    let mgr = engine.manager();
-    let c = counters.borrow();
-    for si in [sis.satd_4x4, sis.sad_4x4, sis.dct_4x4, sis.ht_4x4] {
-        let legacy = mgr.stats(si);
-        let sink = c.si(si);
-        assert_eq!(sink.hw_executions, legacy.hw_executions, "{si:?}");
-        assert_eq!(sink.sw_executions, legacy.sw_executions, "{si:?}");
-        assert_eq!(sink.cycles, legacy.cycles, "{si:?}");
-        assert_eq!(sink.hw_cycles, legacy.hw_cycles, "{si:?}");
-
-        let legacy_fc = mgr.fc_stats(si);
-        let sink_fc = c.fc(si);
-        assert_eq!(sink_fc.issued, legacy_fc.issued, "{si:?}");
-        assert_eq!(sink_fc.retracted, legacy_fc.retracted, "{si:?}");
-        assert_eq!(sink_fc.hits, legacy_fc.hits, "{si:?}");
-        assert_eq!(sink_fc.misses, legacy_fc.misses, "{si:?}");
-    }
-    assert_eq!(c.reselects(), mgr.reselects());
+    let events = live
+        .borrow()
+        .timeline()
+        .entries()
+        .iter()
+        .filter(|r| matches!(r.event, Event::Reselect { .. }))
+        .count() as u64;
+    assert!(events > 0, "Fig. 6 must re-select");
+    assert_eq!(engine.manager().reselects(), events);
 }
 
 #[test]
@@ -99,7 +90,7 @@ fn counters_identical_live_and_after_jsonl_replay() {
     // be able to tell the difference.
     let live = Rc::new(RefCell::new(CountersSink::new()));
     let export = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    let (mut engine, _) = ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::tee(
+    let (mut engine, sis) = ShardSpec::new(Scenario::Fig6, 0).build_fig6(SinkHandle::tee(
         SinkHandle::shared(live.clone()),
         SinkHandle::shared(export.clone()),
     ));
@@ -114,8 +105,9 @@ fn counters_identical_live_and_after_jsonl_replay() {
         "CountersSink totals diverge between live stream and replay"
     );
     // Belt and braces: the run actually exercised the counters.
-    assert!(replayed.rotations_completed() > 0);
-    assert!(replayed.containers_loaded() > 0);
+    assert!(replayed.rotations_started() > 0);
+    let satd = replayed.si(sis.satd_4x4);
+    assert!(satd.hw_cycles > 0 && satd.sw_cycles() > 0, "{satd:?}");
 }
 
 #[test]
