@@ -29,7 +29,7 @@ impl fmt::Display for WidthMismatchError {
 impl Error for WidthMismatchError {}
 
 /// Errors produced by the core model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CoreError {
     /// Molecule widths differ (see [`WidthMismatchError`]).
@@ -52,6 +52,17 @@ pub enum CoreError {
         /// Number of SIs in the library that rejected it.
         library_len: usize,
     },
+    /// A forecast's probability or expected execution count is negative
+    /// or not finite, so it cannot weigh a demand.
+    InvalidForecast {
+        /// Index of the SI the forecast names.
+        si: usize,
+        /// The offending field: `"probability"` or
+        /// `"expected_executions"`.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -71,6 +82,13 @@ impl fmt::Display for CoreError {
                 write!(
                     f,
                     "unknown special instruction id {id} (library holds {library_len} SIs)"
+                )
+            }
+            CoreError::InvalidForecast { si, field, value } => {
+                write!(
+                    f,
+                    "forecast for special instruction id {si} has {field} {value}, \
+                     which is negative or not finite"
                 )
             }
         }

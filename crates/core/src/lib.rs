@@ -71,9 +71,8 @@ pub use forecast::{FdfParams, ForecastValue};
 pub use molecule::Molecule;
 pub use pareto::{latency_staircase, pareto_front, TradeOffPoint};
 pub use selection::{
-    select_molecules, select_molecules_exhaustive, select_molecules_with, selection_benefit,
-    trim_forecast_candidates, trim_forecast_candidates_with, MoleculeSelection, SelectionContext,
-    TrimOutcome,
+    select_molecules, select_molecules_exhaustive, selection_benefit, trim_forecast_candidates,
+    MoleculeSelection, ResumableGreedy, TrimOutcome,
 };
 pub use si::{MoleculeImpl, SiId, SiLibrary, SpecialInstruction};
 pub use synthesis::{propose_atoms, AtomCandidate, DataPath, DataPathOp};

@@ -1,47 +1,15 @@
 //! Selection algorithms: compile-time FC trimming (Fig. 5) and run-time
 //! Molecule selection under an Atom-Container budget.
 //!
-//! The run-time entry points come in two flavours: the plain functions
-//! ([`select_molecules`], [`trim_forecast_candidates`]) allocate their
-//! working state per call, while the `_with` variants thread a reusable
-//! [`SelectionContext`] through so a caller that selects on every
-//! forecast event (the RISPP run-time manager) performs no per-call
-//! allocation beyond the returned decision. Both flavours are
-//! decision-identical by construction — the `_with` variants are the
-//! same algorithm over borrowed scratch.
+//! The run-time greedy runs on every forecast event, and most events
+//! change one SI's weight and leave the selection where it was. A
+//! [`ResumableGreedy`] keeps the rounds of its last run and resumes from
+//! the first round the new weights move; [`select_molecules`] is the same
+//! code run from an empty record.
 
 use crate::error::WidthMismatchError;
 use crate::molecule::Molecule;
 use crate::si::{SiId, SiLibrary};
-
-/// Reusable scratch buffers for the selection kernel.
-///
-/// One context serves any number of [`select_molecules_with`] /
-/// [`trim_forecast_candidates_with`] calls (of any width or demand
-/// count); buffers grow to the high-water mark and are then reused.
-/// The context carries no decision state — dropping it and starting
-/// fresh never changes a result.
-#[derive(Debug, Clone, Default)]
-pub struct SelectionContext {
-    /// Best latency per demanded SI under the partial target.
-    current: Vec<u64>,
-    /// Chosen implementation per demand slot (dense, `None` = software).
-    chosen: Vec<Option<ChosenMolecule>>,
-    /// Per-kind maximum count over the kept candidates (trim scratch).
-    max1: Vec<u32>,
-    /// Per-kind second-largest count over the kept candidates.
-    max2: Vec<u32>,
-    /// How many kept candidates attain `max1` per kind.
-    max1_multiplicity: Vec<u32>,
-}
-
-impl SelectionContext {
-    /// Creates an empty context (buffers grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// Result of [`trim_forecast_candidates`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +49,13 @@ impl TrimOutcome {
 /// than removing a whole cluster of SIs (lines 11–12 of Fig. 5), so the
 /// result may still exceed the budget; check [`TrimOutcome::fits`].
 ///
+/// Instead of rebuilding the supremum of "everyone but candidate i" per
+/// candidate per round, one pass per round records, per Atom kind, the
+/// largest and second-largest kept count plus the multiplicity of the
+/// largest; the containers a removal frees fall out of those three
+/// numbers exactly: `max − second_max` for each kind where the candidate
+/// uniquely attains the maximum, zero elsewhere.
+///
 /// # Errors
 ///
 /// Returns [`WidthMismatchError`] when representatives have differing
@@ -111,38 +86,6 @@ pub fn trim_forecast_candidates(
     speedups: &[f64],
     available_containers: u32,
 ) -> Result<TrimOutcome, WidthMismatchError> {
-    trim_forecast_candidates_with(
-        &mut SelectionContext::default(),
-        reps,
-        speedups,
-        available_containers,
-    )
-}
-
-/// [`trim_forecast_candidates`] over a reusable [`SelectionContext`].
-///
-/// Instead of rebuilding the supremum of "everyone but candidate i" per
-/// candidate per round (quadratic in candidates, one `Vec` each), one
-/// pass per round records, per Atom kind, the largest and second-largest
-/// kept count plus the multiplicity of the largest; the containers a
-/// removal frees fall out of those three numbers exactly:
-/// `max − second_max` for each kind where the candidate uniquely attains
-/// the maximum, zero elsewhere.
-///
-/// # Errors
-///
-/// Returns [`WidthMismatchError`] when representatives have differing
-/// widths.
-///
-/// # Panics
-///
-/// Same contract as [`trim_forecast_candidates`].
-pub fn trim_forecast_candidates_with(
-    ctx: &mut SelectionContext,
-    reps: &[Molecule],
-    speedups: &[f64],
-    available_containers: u32,
-) -> Result<TrimOutcome, WidthMismatchError> {
     assert_eq!(
         reps.len(),
         speedups.len(),
@@ -164,38 +107,32 @@ pub fn trim_forecast_candidates_with(
     let mut kept: Vec<usize> = (0..reps.len()).collect();
     let mut removed = Vec::new();
 
-    ctx.max1.clear();
-    ctx.max1.resize(width, 0);
-    ctx.max2.clear();
-    ctx.max2.resize(width, 0);
-    ctx.max1_multiplicity.clear();
-    ctx.max1_multiplicity.resize(width, 0);
+    // Per-kind maximum count over the kept candidates, the second-largest
+    // count, and how many kept candidates attain the maximum.
+    let mut max1 = vec![0u32; width];
+    let mut max2 = vec![0u32; width];
+    let mut max1_multiplicity = vec![0u32; width];
 
     loop {
         // One pass: per-kind max, second max, and multiplicity of the max
         // over the kept candidates. The supremum is the max1 vector.
-        for k in 0..width {
-            ctx.max1[k] = 0;
-            ctx.max2[k] = 0;
-            ctx.max1_multiplicity[k] = 0;
-        }
-        let mut sup_det: u32 = 0;
+        max1.fill(0);
+        max2.fill(0);
+        max1_multiplicity.fill(0);
         for &i in &kept {
             for (k, &c) in reps[i].as_slice().iter().enumerate() {
-                if c > ctx.max1[k] {
-                    ctx.max2[k] = ctx.max1[k];
-                    ctx.max1[k] = c;
-                    ctx.max1_multiplicity[k] = 1;
-                } else if c == ctx.max1[k] && c > 0 {
-                    ctx.max1_multiplicity[k] += 1;
-                } else if c > ctx.max2[k] {
-                    ctx.max2[k] = c;
+                if c > max1[k] {
+                    max2[k] = max1[k];
+                    max1[k] = c;
+                    max1_multiplicity[k] = 1;
+                } else if c == max1[k] && c > 0 {
+                    max1_multiplicity[k] += 1;
+                } else if c > max2[k] {
+                    max2[k] = c;
                 }
             }
         }
-        for k in 0..width {
-            sup_det += ctx.max1[k];
-        }
+        let sup_det: u32 = max1.iter().sum();
         if sup_det <= available_containers || kept.is_empty() {
             break;
         }
@@ -205,8 +142,8 @@ pub fn trim_forecast_candidates_with(
         for (pos, &idx) in kept.iter().enumerate() {
             let mut freed: u32 = 0;
             for (k, &c) in reps[idx].as_slice().iter().enumerate() {
-                if c == ctx.max1[k] && ctx.max1_multiplicity[k] == 1 {
-                    freed += ctx.max1[k] - ctx.max2[k];
+                if c == max1[k] && max1_multiplicity[k] == 1 {
+                    freed += max1[k] - max2[k];
                 }
             }
             let relation = f64::from(freed) / speedups[idx];
@@ -275,10 +212,12 @@ impl MoleculeSelection {
 /// per cycle, or simply the expected execution count). Each greedy step
 /// upgrades the SI implementation with the best ratio of weighted cycle
 /// gain per additionally required Atom instance; free upgrades (already
-/// covered by the target) are always taken.
+/// covered by the target) are always taken. Equal ratios go to the
+/// earlier demand position, then to the lower Molecule index.
 ///
 /// The greedy heuristic matches the paper's run-time constraints: selection
 /// runs on every forecast event, so it must be fast rather than optimal.
+/// This is a [`ResumableGreedy`] run from an empty record.
 ///
 /// # Panics
 ///
@@ -290,92 +229,250 @@ pub fn select_molecules(
     demands: &[(SiId, f64)],
     capacity: u32,
 ) -> MoleculeSelection {
-    select_molecules_with(&mut SelectionContext::default(), lib, demands, capacity)
+    let mut greedy = ResumableGreedy::default();
+    greedy.select(lib, demands, capacity);
+    greedy.selection(lib)
 }
 
-/// [`select_molecules`] over a reusable [`SelectionContext`]: the same
-/// greedy pass (identical tie-breaking, identical output) with its
-/// per-demand working vectors borrowed from `ctx` and candidate pricing
-/// done via [`Molecule::union_determinant`] instead of materialising a
-/// trial union per candidate — zero allocation beyond the returned
-/// selection on platforms within [`Molecule::INLINE_WIDTH`].
+/// The greedy of [`select_molecules`] with the record of its last run,
+/// from which the next run resumes.
 ///
-/// # Panics
+/// For every round the record keeps each demand position's best upgrade,
+/// as `(ratio, Molecule index)`, and the round's winner. A call with the
+/// same demand positions and capacity re-evaluates only the positions
+/// whose weight bits changed, replays the recorded rounds and reruns the
+/// plain greedy from the first round whose winner differs; any other
+/// call runs from round 0. Either way the result equals
+/// [`select_molecules`] over the same arguments: up to the first
+/// differing winner every round starts from the same target and the
+/// same latencies, so an unchanged position's recorded best is the one a
+/// fresh run would compute.
 ///
-/// Same contract as [`select_molecules`].
-#[must_use]
-pub fn select_molecules_with(
-    ctx: &mut SelectionContext,
-    lib: &SiLibrary,
-    demands: &[(SiId, f64)],
+/// The record depends only on the weights, the capacity and the library,
+/// so nothing outside a call can make it stale; every call must pass the
+/// library of the first. Its buffers grow to the high-water mark and are
+/// then reused.
+#[derive(Debug, Clone, Default)]
+pub struct ResumableGreedy {
+    /// Capacity of the recorded run.
     capacity: u32,
-) -> MoleculeSelection {
-    assert!(
-        demands.iter().all(|&(_, w)| w >= 0.0),
-        "demand weights must be non-negative"
-    );
-    let width = lib.width();
-    let mut target = Molecule::zero(width);
-    // Current best latency per demanded SI under `target`.
-    ctx.current.clear();
-    ctx.current
-        .extend(demands.iter().map(|&(si, _)| lib.get(si).sw_cycles()));
-    ctx.chosen.clear();
-    ctx.chosen.resize(demands.len(), None);
+    /// Demand positions and weights of the recorded run.
+    demands: Vec<(SiId, f64)>,
+    /// Round-major, one entry per demand position and round: the
+    /// position's best upgrade `(ratio, Molecule index)`, `None` without
+    /// one.
+    bests: Vec<Option<(f64, usize)>>,
+    /// Each round's winning `(position, Molecule index)`. The last
+    /// round's is `None`: the greedy stopped there.
+    winners: Vec<Option<(usize, usize)>>,
+    /// The target after the rounds replayed so far.
+    target: Molecule,
+    /// Latency per demand position under `target`.
+    current: Vec<u64>,
+    /// Chosen Molecule index per demand position (`None` = software).
+    chosen: Vec<Option<usize>>,
+    /// Positions whose weight the current call changed.
+    changed: Vec<usize>,
+}
 
-    loop {
-        let target_det = target.determinant();
-        let mut best: Option<(usize, usize, f64)> = None; // (demand, molecule, ratio)
-        for (d, &(si, weight)) in demands.iter().enumerate() {
-            if weight == 0.0 {
-                continue;
-            }
-            let si_def = lib.get(si);
-            for (mi, m) in si_def.molecules().iter().enumerate() {
-                if m.cycles >= ctx.current[d] {
-                    continue; // not an upgrade
-                }
-                let union_det = target
-                    .union_determinant(&m.molecule)
-                    .expect("library enforces equal widths");
-                if union_det > capacity {
-                    continue;
-                }
-                let cost = u64::from(union_det - target_det);
-                let gain = weight * (ctx.current[d] - m.cycles) as f64;
-                // Free upgrades get an effectively infinite ratio.
-                let ratio = if cost == 0 {
-                    f64::INFINITY
-                } else {
-                    gain / cost as f64
-                };
-                if best.is_none_or(|(_, _, r)| ratio > r) {
-                    best = Some((d, mi, ratio));
-                }
+impl ResumableGreedy {
+    /// Creates an empty record: the first call runs from round 0.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Selects for `demands` under `capacity`, resuming from the recorded
+    /// run. Returns `false` when every round's winner is the recorded one,
+    /// so [`selection`](Self::selection) is what it was before the call.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`select_molecules`].
+    pub fn select(&mut self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> bool {
+        assert!(
+            demands.iter().all(|&(_, w)| w >= 0.0),
+            "demand weights must be non-negative"
+        );
+        let same_positions = self.demands.len() == demands.len()
+            && self.demands.iter().zip(demands).all(|(a, b)| a.0 == b.0);
+        if self.winners.is_empty() || capacity != self.capacity || !same_positions {
+            self.capacity = capacity;
+            self.demands.clear();
+            self.demands.extend_from_slice(demands);
+            self.bests.clear();
+            self.winners.clear();
+            self.restart(lib);
+            self.run(lib);
+            return true;
+        }
+        self.changed.clear();
+        for (d, (mine, &(_, w))) in self.demands.iter_mut().zip(demands).enumerate() {
+            if mine.1.to_bits() != w.to_bits() {
+                mine.1 = w;
+                self.changed.push(d);
             }
         }
-        let Some((d, mi, ratio)) = best else { break };
-        if ratio <= 0.0 {
-            break;
+        if self.changed.is_empty() {
+            return false;
         }
-        let (si, _) = demands[d];
-        let m = &lib.get(si).molecules()[mi];
-        target
+        self.restart(lib);
+        let n = self.demands.len();
+        for round in 0..self.winners.len() {
+            let row = &mut self.bests[round * n..(round + 1) * n];
+            let target_det = self.target.determinant();
+            for &d in &self.changed {
+                row[d] = best_upgrade(
+                    lib,
+                    self.demands[d],
+                    self.current[d],
+                    &self.target,
+                    target_det,
+                    capacity,
+                );
+            }
+            let winner = round_winner(row);
+            if winner != self.winners[round] {
+                self.bests.truncate(round * n);
+                self.winners.truncate(round);
+                self.run(lib);
+                return true;
+            }
+            if let Some(win) = winner {
+                self.apply(lib, win);
+            }
+        }
+        false
+    }
+
+    /// The selection the last [`select`](Self::select) call made.
+    #[must_use]
+    pub fn selection(&self, lib: &SiLibrary) -> MoleculeSelection {
+        let chosen = self
+            .demands
+            .iter()
+            .zip(&self.chosen)
+            .filter_map(|(&(si, _), &mi)| {
+                let mi = mi?;
+                let m = &lib.get(si).molecules()[mi];
+                Some(ChosenMolecule {
+                    si,
+                    molecule_index: mi,
+                    cycles: m.cycles,
+                    molecule: m.molecule.clone(),
+                })
+            })
+            .collect();
+        MoleculeSelection {
+            target: self.target.clone(),
+            chosen,
+        }
+    }
+
+    /// Resets the replay state to round 0: an empty target, every SI in
+    /// software.
+    fn restart(&mut self, lib: &SiLibrary) {
+        self.target = Molecule::zero(lib.width());
+        self.current.clear();
+        self.current
+            .extend(self.demands.iter().map(|&(si, _)| lib.get(si).sw_cycles()));
+        self.chosen.clear();
+        self.chosen.resize(self.demands.len(), None);
+    }
+
+    /// The plain greedy from the replay state on: evaluates every
+    /// position each round and records the rounds until one has no
+    /// winner.
+    fn run(&mut self, lib: &SiLibrary) {
+        loop {
+            let target_det = self.target.determinant();
+            let start = self.bests.len();
+            for (&demand, &current) in self.demands.iter().zip(&self.current) {
+                self.bests.push(best_upgrade(
+                    lib,
+                    demand,
+                    current,
+                    &self.target,
+                    target_det,
+                    self.capacity,
+                ));
+            }
+            let winner = round_winner(&self.bests[start..]);
+            self.winners.push(winner);
+            match winner {
+                Some(win) => self.apply(lib, win),
+                None => return,
+            }
+        }
+    }
+
+    /// Takes a round's winning upgrade into the replay state.
+    fn apply(&mut self, lib: &SiLibrary, (d, mi): (usize, usize)) {
+        let m = &lib.get(self.demands[d].0).molecules()[mi];
+        self.target
             .union_in_place(&m.molecule)
             .expect("library enforces equal widths");
-        ctx.current[d] = m.cycles;
-        ctx.chosen[d] = Some(ChosenMolecule {
-            si,
-            molecule_index: mi,
-            cycles: m.cycles,
-            molecule: m.molecule.clone(),
-        });
+        self.current[d] = m.cycles;
+        self.chosen[d] = Some(mi);
     }
+}
 
-    MoleculeSelection {
-        target,
-        chosen: ctx.chosen.drain(..).flatten().collect(),
+/// One demand position's best upgrade under `target`: among the Molecules
+/// faster than `current` whose union with `target` fits `capacity`, the
+/// highest ratio of weighted cycle gain per added Atom, and the lowest
+/// Molecule index at that ratio. `None` for a zero weight.
+fn best_upgrade(
+    lib: &SiLibrary,
+    (si, weight): (SiId, f64),
+    current: u64,
+    target: &Molecule,
+    target_det: u32,
+    capacity: u32,
+) -> Option<(f64, usize)> {
+    if weight == 0.0 {
+        return None;
     }
+    let mut best: Option<(f64, usize)> = None;
+    for (mi, m) in lib.get(si).molecules().iter().enumerate() {
+        if m.cycles >= current {
+            continue; // not an upgrade
+        }
+        let union_det = target
+            .union_determinant(&m.molecule)
+            .expect("library enforces equal widths");
+        if union_det > capacity {
+            continue;
+        }
+        let cost = u64::from(union_det - target_det);
+        let gain = weight * (current - m.cycles) as f64;
+        // Free upgrades get an effectively infinite ratio.
+        let ratio = if cost == 0 {
+            f64::INFINITY
+        } else {
+            gain / cost as f64
+        };
+        if best.is_none_or(|(r, _)| ratio > r) {
+            best = Some((ratio, mi));
+        }
+    }
+    best
+}
+
+/// A round's winner from its positions' best upgrades: the earliest
+/// position at the highest ratio, as `(position, Molecule index)`.
+/// `None` when no position has an upgrade or the best gains nothing.
+fn round_winner(bests: &[Option<(f64, usize)>]) -> Option<(usize, usize)> {
+    let mut winner: Option<(usize, usize, f64)> = None;
+    for (d, best) in bests.iter().enumerate() {
+        if let Some((ratio, mi)) = *best {
+            if winner.is_none_or(|(_, _, r)| ratio > r) {
+                winner = Some((d, mi, ratio));
+            }
+        }
+    }
+    winner
+        .filter(|&(_, _, ratio)| ratio > 0.0)
+        .map(|(d, mi, _)| (d, mi))
 }
 
 /// Exhaustive (optimal) Molecule selection for small instances: tries

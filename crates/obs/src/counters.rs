@@ -96,24 +96,29 @@ impl CountersSink {
 
     /// Folds another sink's counters into this one, as if every event
     /// emitted into `other` had been emitted here instead: per-SI
-    /// counters add SI by SI. Associative and commutative, so fleet
-    /// shards can be folded in any order.
+    /// counters add SI by SI, saturating at `u64::MAX` as [`emit`] does.
+    /// Associative and commutative, so fleet shards can be folded in any
+    /// order.
+    ///
+    /// [`emit`]: EventSink::emit
     pub fn merge(&mut self, other: &Self) {
         for (si, theirs) in &other.per_si {
             let mine = self.per_si.entry(*si).or_default();
-            mine.hw_executions += theirs.hw_executions;
-            mine.sw_executions += theirs.sw_executions;
-            mine.cycles += theirs.cycles;
-            mine.hw_cycles += theirs.hw_cycles;
+            mine.hw_executions = mine.hw_executions.saturating_add(theirs.hw_executions);
+            mine.sw_executions = mine.sw_executions.saturating_add(theirs.sw_executions);
+            mine.cycles = mine.cycles.saturating_add(theirs.cycles);
+            mine.hw_cycles = mine.hw_cycles.saturating_add(theirs.hw_cycles);
         }
         for (si, theirs) in &other.fc {
             let mine = self.fc.entry(*si).or_default();
-            mine.issued += theirs.issued;
-            mine.retracted += theirs.retracted;
-            mine.hits += theirs.hits;
-            mine.misses += theirs.misses;
+            mine.issued = mine.issued.saturating_add(theirs.issued);
+            mine.retracted = mine.retracted.saturating_add(theirs.retracted);
+            mine.hits = mine.hits.saturating_add(theirs.hits);
+            mine.misses = mine.misses.saturating_add(theirs.misses);
         }
-        self.rotations_started += other.rotations_started;
+        self.rotations_started = self
+            .rotations_started
+            .saturating_add(other.rotations_started);
     }
 }
 
@@ -123,13 +128,15 @@ impl EventSink for CountersSink {
             Event::RotationStarted { .. } => self.rotations_started += 1,
             Event::SiExecuted { si, hw, cycles, .. } => {
                 let c = self.per_si.entry(si.index()).or_default();
+                // A foreign log may carry any cycle count: the sums
+                // saturate instead of overflowing.
                 if *hw {
                     c.hw_executions += 1;
-                    c.hw_cycles += cycles;
+                    c.hw_cycles = c.hw_cycles.saturating_add(*cycles);
                 } else {
                     c.sw_executions += 1;
                 }
-                c.cycles += cycles;
+                c.cycles = c.cycles.saturating_add(*cycles);
             }
             Event::ForecastUpdated { si, .. } => {
                 self.fc.entry(si.index()).or_default().issued += 1;
@@ -349,5 +356,30 @@ mod tests {
         let s = ab.si(SiId(0));
         assert_eq!((s.hw_executions, s.sw_executions, s.cycles), (1, 1, 500));
         assert_eq!(ab.fc(SiId(0)).issued, 1);
+    }
+
+    #[test]
+    fn cycle_sums_saturate_live_and_after_merge() {
+        let exec = |hw| Event::SiExecuted {
+            task: 0,
+            si: SiId(0),
+            hw,
+            cycles: u64::MAX,
+            molecule: None,
+        };
+        let mut live = CountersSink::new();
+        live.emit(0, &exec(true));
+        live.emit(1, &exec(true));
+        live.emit(2, &exec(false));
+        let c = live.si(SiId(0));
+        assert_eq!((c.cycles, c.hw_cycles), (u64::MAX, u64::MAX));
+        assert_eq!((c.hw_executions, c.sw_executions), (2, 1));
+        assert_eq!(c.sw_cycles(), 0);
+
+        let mut merged = live.clone();
+        merged.merge(&live);
+        let c = merged.si(SiId(0));
+        assert_eq!((c.cycles, c.hw_cycles), (u64::MAX, u64::MAX));
+        assert_eq!((c.hw_executions, c.sw_executions), (4, 2));
     }
 }

@@ -523,10 +523,13 @@ impl MetricsSink {
         if self.now == 0 || n == 0 {
             return 0.0;
         }
-        let loaded = self
+        // One container's loaded cycles fit a u64 (they lie within
+        // [0, now]); their sum over the fabric may not.
+        let loaded: u128 = self
             .containers
             .iter()
-            .fold(0u64, |sum, c| sum.saturating_add(c.loaded_until(self.now)));
+            .map(|c| u128::from(c.loaded_until(self.now)))
+            .sum();
         loaded as f64 / (self.now as f64 * n as f64)
     }
 
@@ -1228,8 +1231,7 @@ mod tests {
         assert_eq!(m.cycles_saved_vs_sw(), u64::MAX);
 
         // Two containers loaded from 0 to the end of the clock: their
-        // loaded cycles sum past u64::MAX and saturate, so the gauge
-        // reads low instead of wrapping.
+        // loaded cycles sum past u64::MAX, and the u128 sum keeps them.
         let mut m = MetricsSink::new().with_containers(2);
         for container in 0..2 {
             m.emit(
@@ -1241,7 +1243,7 @@ mod tests {
             );
         }
         m.advance_to(u64::MAX);
-        assert!((0.0..=1.0).contains(&m.fabric_occupancy()));
+        assert_eq!(m.fabric_occupancy(), 1.0);
 
         // A summary at the end of the clock, merged with itself.
         let summary = m.summary();

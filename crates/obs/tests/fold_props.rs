@@ -190,10 +190,10 @@ impl PlainMetrics {
             }
         };
         let n = self.fixed_containers.unwrap_or(self.containers.len());
-        let (mut loaded, mut weighted) = (0u64, 0.0f64);
+        let (mut loaded, mut weighted) = (0u128, 0.0f64);
         for (open, loaded_cycles, weighted_cycles) in &self.containers {
             let held = open.map_or(0, |(_, since)| self.now.saturating_sub(since));
-            loaded = loaded.saturating_add(loaded_cycles.saturating_add(held));
+            loaded += u128::from(loaded_cycles.saturating_add(held));
             weighted += weighted_cycles
                 + open.map_or(0.0, |(kind, since)| {
                     self.now.saturating_sub(since) as f64 * self.weight(kind)

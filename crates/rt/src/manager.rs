@@ -7,8 +7,9 @@
 //!    stored per task and fine-tuned with observed behaviour
 //!    ([`crate::forecast::ForecastStore`],
 //!    [`RisppManager::record_fc_outcome`]);
-//! 2. **Selecting** — on every forecast change the Molecule selection is
-//!    recomputed over all active demands under the Atom-Container budget
+//! 2. **Selecting** — on every forecast change the changed SI is
+//!    re-weighed and the Molecule selection re-evaluated over all demand
+//!    weights under the Atom-Container budget
 //!    ([`crate::selection::SelectionStage`]);
 //! 3. **Scheduling** — rotations are (re)queued so the fabric converges to
 //!    the selected target Meta-Molecule, most-important SI first
@@ -27,7 +28,7 @@
 
 use rispp_core::error::CoreError;
 use rispp_core::forecast::ForecastValue;
-use rispp_core::si::{SiId, SiLibrary};
+use rispp_core::si::{SiId, SiLibrary, SpecialInstruction};
 use rispp_fabric::fabric::{Fabric, FabricError, FabricEvent};
 use rispp_obs::{Event, ReselectTrigger, SinkHandle};
 
@@ -111,6 +112,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// [`ManagerBuilder::power_mode`].
     pub fn adapt_power_mode(&mut self, mode: PowerMode) {
         self.selector.set_power_mode(mode);
+        self.reweigh_all();
         self.reselect(ReselectTrigger::PowerMode);
     }
 
@@ -163,6 +165,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
             }
             all.extend(events);
             if need_reselect {
+                self.reweigh_all();
                 self.reselect(ReselectTrigger::Fault);
             }
             if step_to >= t {
@@ -173,7 +176,31 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
 
     /// Handles an FC event: task `task` announces (or updates) a forecast
     /// for an SI. Triggers re-selection and rotation scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `value` names an SI outside this manager's library or
+    /// carries a negative or non-finite probability or expected execution
+    /// count; use [`RisppManager::try_forecast`] to handle that case
+    /// gracefully.
     pub fn forecast(&mut self, task: TaskId, value: ForecastValue) {
+        if let Err(e) = self.try_forecast(task, value) {
+            panic!("{e}");
+        }
+    }
+
+    /// Fallible counterpart of [`RisppManager::forecast`], for callers
+    /// that receive forecasts from untrusted input. A refused forecast
+    /// emits nothing and leaves the manager as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownSi`] when `value.si` was not issued by
+    /// this manager's library, and [`CoreError::InvalidForecast`] when its
+    /// probability or expected execution count is negative or not
+    /// finite.
+    pub fn try_forecast(&mut self, task: TaskId, value: ForecastValue) -> Result<(), CoreError> {
+        check_forecast(&self.lib, &value)?;
         self.sink
             .emit_with(self.fabric.now(), || Event::ForecastUpdated {
                 task,
@@ -181,20 +208,31 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
                 probability: value.probability,
                 expected_executions: value.expected_executions,
             });
+        let si = value.si;
         self.forecasts.insert(task, value);
+        self.reweigh(si);
         self.reselect(ReselectTrigger::Forecast);
+        Ok(())
     }
 
     /// Handles a whole FC Block: several forecasts announced at once (the
     /// compile-time pass "combines FCs to FC Blocks, which will ease the
     /// run-time computation effort" — selection and rotation scheduling
     /// run once for the batch instead of once per forecast).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first value [`RisppManager::try_forecast`] would
+    /// refuse, before emitting its event.
     pub fn forecast_block<I>(&mut self, task: TaskId, values: I)
     where
         I: IntoIterator<Item = ForecastValue>,
     {
         let mut any = false;
         for value in values {
+            if let Err(e) = check_forecast(&self.lib, &value) {
+                panic!("{e}");
+            }
             self.sink
                 .emit_with(self.fabric.now(), || Event::ForecastUpdated {
                     task,
@@ -206,6 +244,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
             any = true;
         }
         if any {
+            self.reweigh_all();
             self.reselect(ReselectTrigger::ForecastBlock);
         }
     }
@@ -216,6 +255,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
         self.sink
             .emit(self.fabric.now(), &Event::ForecastRetracted { task, si });
         self.forecasts.retract(task, si);
+        self.reweigh(si);
         self.reselect(ReselectTrigger::Retract);
     }
 
@@ -233,6 +273,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
             .emit(self.fabric.now(), &Event::FcOutcome { task, si, reached });
         self.forecasts
             .observe(task, si, reached, observed_distance, observed_executions);
+        self.reweigh(si);
         self.reselect(ReselectTrigger::Observation);
     }
 
@@ -262,10 +303,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// Returns [`CoreError::UnknownSi`] when `si` was not issued by this
     /// manager's library.
     pub fn try_execute_si(&mut self, task: TaskId, si: SiId) -> Result<ExecutionRecord, CoreError> {
-        let def = self.lib.try_get(si).ok_or(CoreError::UnknownSi {
-            id: si.index(),
-            library_len: self.lib.len(),
-        })?;
+        let def = known_si(&self.lib, si)?;
         let entry = self.dispatch.lookup(si, def, &self.fabric);
         let best = entry.best.map(|i| &def.molecules()[i]);
         let record = match best {
@@ -299,7 +337,19 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
         Ok(record)
     }
 
-    /// Recomputes the Molecule selection from all active demands and,
+    /// Re-weighs the one SI whose demands changed.
+    fn reweigh(&mut self, si: SiId) {
+        self.selector
+            .reweigh(&self.lib, self.fabric.catalog(), &self.forecasts, si);
+    }
+
+    /// Re-weighs every SI.
+    fn reweigh_all(&mut self) {
+        self.selector
+            .reweigh_all(&self.lib, self.fabric.catalog(), &self.forecasts);
+    }
+
+    /// Recomputes the Molecule selection from the current weights and,
     /// when the fabric does not already hold the new target, re-schedules
     /// rotations towards it.
     fn reselect(&mut self, trigger: ReselectTrigger) {
@@ -307,8 +357,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
         // under the full container count would chase an unreachable
         // target forever.
         let capacity = self.fabric.usable_containers() as u32;
-        self.selector
-            .reselect(&self.lib, self.fabric.catalog(), &self.forecasts, capacity);
+        self.selector.reselect(&self.lib, capacity);
         // Applying a plan is a no-op when no rotation is queued
         // (cancelling would refund nothing) and the committed fabric
         // already covers the target: every upgrade stage ≤ its SI's wanted
@@ -326,7 +375,7 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
             let plan = self.scheduler.plan(
                 &self.lib,
                 self.selector.selection(),
-                self.selector.last_weights(),
+                self.selector.weights(),
             );
             self.apply_plan(&plan);
         }
@@ -395,4 +444,33 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
             }
         }
     }
+}
+
+/// `si`'s definition, or [`CoreError::UnknownSi`] when `lib` did not
+/// issue it.
+fn known_si(lib: &SiLibrary, si: SiId) -> Result<&SpecialInstruction, CoreError> {
+    lib.try_get(si).ok_or(CoreError::UnknownSi {
+        id: si.index(),
+        library_len: lib.len(),
+    })
+}
+
+/// Refuses a forecast that cannot weigh a demand: one for an SI outside
+/// `lib`, or with a negative or non-finite probability or expected
+/// execution count.
+fn check_forecast(lib: &SiLibrary, value: &ForecastValue) -> Result<(), CoreError> {
+    known_si(lib, value.si)?;
+    for (field, v) in [
+        ("probability", value.probability),
+        ("expected_executions", value.expected_executions),
+    ] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(CoreError::InvalidForecast {
+                si: value.si.index(),
+                field,
+                value: v,
+            });
+        }
+    }
+    Ok(())
 }

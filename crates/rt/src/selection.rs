@@ -4,11 +4,15 @@
 //! This module turns the active forecasts into the paper's run-time task
 //! (b), "Selecting Molecules considering the demands of all tasks":
 //!
-//! 1. [`weigh_demands_into`] aggregates a benefit weight per SI over all
-//!    demanding tasks, under the current adaptation goal ([`PowerMode`]);
+//! 1. [`SelectionStage::reweigh`] aggregates one SI's benefit weight over
+//!    its demanding tasks, under the current adaptation goal
+//!    ([`PowerMode`]), into a dense [`DemandWeights`] vector with one
+//!    position per library SI; a forecast, retraction or FC outcome
+//!    changes one SI's weight, so it re-weighs that SI alone;
 //! 2. a [`SelectionPolicy`] maps `(library, weights, capacity)` to a
 //!    [`MoleculeSelection`] — the greedy profit heuristic of the paper by
-//!    default, the exhaustive oracle for validation;
+//!    default, resumed from its last run ([`ResumableGreedy`]), and the
+//!    exhaustive oracle for validation;
 //! 3. [`SelectionStage`] holds the policy, the mode and the last
 //!    selection, so the shell can ask "what is the current target?"
 //!    without re-deriving it.
@@ -16,9 +20,9 @@
 //! Nothing in this module touches the fabric or emits events: given the
 //! same inputs, every function returns the same outputs.
 
+use rispp_core::forecast::ForecastValue;
 pub use rispp_core::selection::{
-    select_molecules, select_molecules_exhaustive, select_molecules_with, MoleculeSelection,
-    SelectionContext,
+    select_molecules, select_molecules_exhaustive, MoleculeSelection, ResumableGreedy,
 };
 use rispp_core::si::{SiId, SiLibrary};
 use rispp_fabric::catalog::AtomCatalog;
@@ -56,18 +60,20 @@ pub trait SelectionPolicy {
     /// Atom-Container budget `capacity`.
     fn select(&self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> MoleculeSelection;
 
-    /// Incremental entry point: like [`select`](Self::select) but with a
-    /// reusable [`SelectionContext`] holding the scratch buffers of the
-    /// selection kernel. Policies that cannot exploit it fall back to the
-    /// from-scratch path — results must be identical either way.
-    fn select_with(
+    /// Re-selection entry point: brings `selection`, the policy's choice
+    /// for the previous call, up to date for `demands` and `capacity`.
+    /// `greedy` is the stage's record of the greedy's last run. Policies
+    /// that cannot resume select from scratch, as this default does; the
+    /// result must be identical either way.
+    fn reselect(
         &self,
-        _ctx: &mut SelectionContext,
+        _greedy: &mut ResumableGreedy,
         lib: &SiLibrary,
         demands: &[(SiId, f64)],
         capacity: u32,
-    ) -> MoleculeSelection {
-        self.select(lib, demands, capacity)
+        selection: &mut MoleculeSelection,
+    ) {
+        *selection = self.select(lib, demands, capacity);
     }
 }
 
@@ -81,14 +87,19 @@ impl SelectionPolicy for GreedySelection {
         select_molecules(lib, demands, capacity)
     }
 
-    fn select_with(
+    /// Resumes the greedy's last run and rebuilds `selection` only when a
+    /// round's winner changed.
+    fn reselect(
         &self,
-        ctx: &mut SelectionContext,
+        greedy: &mut ResumableGreedy,
         lib: &SiLibrary,
         demands: &[(SiId, f64)],
         capacity: u32,
-    ) -> MoleculeSelection {
-        select_molecules_with(ctx, lib, demands, capacity)
+        selection: &mut MoleculeSelection,
+    ) {
+        if greedy.select(lib, demands, capacity) {
+            *selection = greedy.selection(lib);
+        }
     }
 }
 
@@ -98,52 +109,60 @@ impl SelectionPolicy for GreedySelection {
 pub struct ExhaustiveSelection;
 
 impl SelectionPolicy for ExhaustiveSelection {
+    /// Searches over the demands with a non-zero weight only: a zero
+    /// weight adds no benefit, so the first best assignment never gives
+    /// such an SI hardware, and leaving it out keeps the search within
+    /// the oracle's 12-SI limit on large libraries.
     fn select(&self, lib: &SiLibrary, demands: &[(SiId, f64)], capacity: u32) -> MoleculeSelection {
-        select_molecules_exhaustive(lib, demands, capacity)
+        let weighted: Vec<(SiId, f64)> =
+            demands.iter().copied().filter(|&(_, w)| w != 0.0).collect();
+        select_molecules_exhaustive(lib, &weighted, capacity)
     }
 }
 
-/// Aggregated benefit weight and owning task per demanded SI, in
-/// ascending SI order. The `(si, weight)` pairs are the demand list the
-/// selection policy reads as is; the owners sit in a list beside them.
-/// The hot reselect path refills both in place, without any per-call
-/// allocation or copy.
+/// Benefit weight and owning task per library SI: one position per SI,
+/// in SI order, which never moves. The `(si, weight)` pairs are the
+/// demand list the selection policy reads as is (an undemanded SI weighs
+/// 0); the owners sit in a list beside them.
 ///
-/// The owner is the first (lowest-id) task that demanded the SI; rotations
+/// The owner is the first (lowest-id) task that demands the SI; rotations
 /// requested on its behalf are attributed to that task in the event
 /// stream.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DemandWeights {
     demands: Vec<(SiId, f64)>,
-    /// `owners[i]` owns `demands[i]`.
-    owners: Vec<TaskId>,
+    /// `owners[i]` owns `demands[i]`; `None` when no task demands it.
+    owners: Vec<Option<TaskId>>,
 }
 
 impl DemandWeights {
-    fn position(&self, si: SiId) -> Option<usize> {
-        self.demands
-            .binary_search_by_key(&si.index(), |&(s, _)| s.index())
-            .ok()
+    /// Zero weights and no owners for a library of `si_count` SIs.
+    fn new(si_count: usize) -> Self {
+        DemandWeights {
+            demands: (0..si_count).map(|si| (SiId(si), 0.0)).collect(),
+            owners: vec![None; si_count],
+        }
     }
 
     /// Aggregated weight of `si` (0 when undemanded).
     #[must_use]
     pub fn weight_of(&self, si: SiId) -> f64 {
-        self.position(si).map_or(0.0, |at| self.demands[at].1)
+        self.demands.get(si.index()).map_or(0.0, |&(_, w)| w)
     }
 
     /// Owning task of `si`, `None` when undemanded.
     #[must_use]
     pub fn owner_of(&self, si: SiId) -> Option<TaskId> {
-        self.position(si).map(|at| self.owners[at])
+        self.owners.get(si.index()).copied().flatten()
     }
 
-    /// All `(si, weight, owner)` triples in ascending SI order.
+    /// The `(si, weight, owner)` triples of the demanded SIs, in
+    /// ascending SI order.
     pub fn iter(&self) -> impl Iterator<Item = (SiId, f64, TaskId)> + '_ {
         self.demands
             .iter()
             .zip(&self.owners)
-            .map(|(&(si, w), &t)| (si, w, t))
+            .filter_map(|(&(si, w), &owner)| Some((si, w, owner?)))
     }
 }
 
@@ -160,33 +179,26 @@ pub fn minimal_rotation_bytes(lib: &SiLibrary, catalog: &AtomCatalog, si: SiId) 
         .sum()
 }
 
-/// Aggregates a benefit weight per SI over all demanding tasks, under the
-/// adaptation goal `mode`, into caller-owned buffers: `acc` is a dense
-/// per-SI accumulator (resized to the library width), `out` is refilled
-/// in place. The hot reselect path reuses both across calls, so steady
-/// state weighs without allocating.
+/// Aggregates `si`'s benefit weight over its demanding tasks (`row`, in
+/// ascending task order, as [`ForecastStore::row`] gives it) under the
+/// adaptation goal `mode`.
 ///
 /// In [`PowerMode::Performance`] a demand's weight is its expected cycle
 /// saving; in [`PowerMode::EnergySaving`] it becomes the expected energy
 /// saving in nanojoules, zeroed when the expected executions do not
-/// amortise the rotation transfer (§4.1's offset).
-///
-/// Benefits accumulate per SI in forecast-store iteration order and the
-/// first demanding task owns the SI — bit-identical to summing into a
-/// map keyed by SI index.
-pub fn weigh_demands_into(
+/// amortise the rotation transfer (§4.1's offset). Benefits add up in
+/// ascending task order, from 0.
+fn weigh(
     lib: &SiLibrary,
     catalog: &AtomCatalog,
     mode: PowerMode,
-    demands: &ForecastStore,
-    acc: &mut Vec<(f64, TaskId, bool)>,
-    out: &mut DemandWeights,
-) {
-    acc.clear();
-    acc.resize(lib.len(), (0.0, 0, false));
-    for (task, si, fv) in demands.iter() {
-        let def = lib.get(si);
-        let benefit = match mode {
+    si: SiId,
+    row: &[(TaskId, ForecastValue)],
+) -> f64 {
+    let def = lib.get(si);
+    let mut sum = 0.0;
+    for (_, fv) in row {
+        sum += match mode {
             PowerMode::Performance => {
                 fv.expected_benefit(def.sw_cycles() as f64, def.fastest().cycles as f64)
             }
@@ -203,54 +215,38 @@ pub fn weigh_demands_into(
                 }
             }
         };
-        let slot = &mut acc[si.index()];
-        if !slot.2 {
-            slot.1 = task;
-            slot.2 = true;
-        }
-        slot.0 += benefit;
     }
-    out.demands.clear();
-    out.owners.clear();
-    for (si, &(w, t, demanded)) in acc.iter().enumerate() {
-        if demanded {
-            out.demands.push((SiId(si), w));
-            out.owners.push(t);
-        }
-    }
+    sum
 }
 
 /// The selection stage: policy + adaptation goal + the last selection
 /// and the weights that drove it.
 ///
-/// The stage owns the weigh accumulator, the weights and the selection
-/// kernel's [`SelectionContext`], and refills them in place on every
-/// re-selection, so the hot path allocates nothing but the selection it
-/// produces.
+/// The stage owns the weights and the greedy's record, and updates them
+/// in place on every re-selection, so the hot path allocates nothing
+/// unless the selection changes.
 #[derive(Debug, Clone)]
 pub struct SelectionStage<S = GreedySelection> {
     policy: S,
     power_mode: PowerMode,
     selection: MoleculeSelection,
     reselects: u64,
-    ctx: SelectionContext,
-    /// Dense per-SI accumulator reused by every weigh pass.
-    weigh_acc: Vec<(f64, TaskId, bool)>,
-    last_weights: DemandWeights,
+    greedy: ResumableGreedy,
+    weights: DemandWeights,
 }
 
 impl<S: SelectionPolicy> SelectionStage<S> {
-    /// Creates the stage with an empty selection.
+    /// Creates the stage for a library of `si_count` SIs, with zero
+    /// weights and an empty selection.
     #[must_use]
-    pub fn new(policy: S, power_mode: PowerMode) -> Self {
+    pub fn new(policy: S, power_mode: PowerMode, si_count: usize) -> Self {
         SelectionStage {
             policy,
             power_mode,
             selection: MoleculeSelection::default(),
             reselects: 0,
-            ctx: SelectionContext::default(),
-            weigh_acc: Vec::new(),
-            last_weights: DemandWeights::default(),
+            greedy: ResumableGreedy::default(),
+            weights: DemandWeights::new(si_count),
         }
     }
 
@@ -267,7 +263,7 @@ impl<S: SelectionPolicy> SelectionStage<S> {
     }
 
     /// Switches the adaptation goal. The caller decides whether that
-    /// warrants a re-selection (it does, at run time).
+    /// warrants re-weighing and a re-selection (it does, at run time).
     pub fn set_power_mode(&mut self, mode: PowerMode) {
         self.power_mode = mode;
     }
@@ -281,37 +277,51 @@ impl<S: SelectionPolicy> SelectionStage<S> {
         self.reselects
     }
 
-    /// The weights that drove the last re-selection (the rotation planner
-    /// orders upgrades by them).
+    /// The current weights, which drive the next re-selection (the
+    /// rotation planner orders upgrades by them).
     #[must_use]
-    pub fn last_weights(&self) -> &DemandWeights {
-        &self.last_weights
+    pub fn weights(&self) -> &DemandWeights {
+        &self.weights
     }
 
-    /// Re-evaluates the selection from the active demands under the
-    /// Atom-Container budget `capacity`: weighs them under the current
-    /// adaptation goal, then runs the selection policy. The result is
-    /// read back through [`selection`](Self::selection) and
-    /// [`last_weights`](Self::last_weights).
-    pub fn reselect(
+    /// Re-weighs `si` from its demands in `store` under the current
+    /// adaptation goal. A no-op for an SI outside the library, which no
+    /// forecast can name.
+    pub fn reweigh(
         &mut self,
         lib: &SiLibrary,
         catalog: &AtomCatalog,
-        demands: &ForecastStore,
-        capacity: u32,
+        store: &ForecastStore,
+        si: SiId,
     ) {
+        if si.index() >= self.weights.demands.len() {
+            return;
+        }
+        let row = store.row(si);
+        self.weights.demands[si.index()].1 = weigh(lib, catalog, self.power_mode, si, row);
+        self.weights.owners[si.index()] = row.first().map(|&(task, _)| task);
+    }
+
+    /// Re-weighs every SI, one at a time through
+    /// [`reweigh`](Self::reweigh).
+    pub fn reweigh_all(&mut self, lib: &SiLibrary, catalog: &AtomCatalog, store: &ForecastStore) {
+        for si in 0..self.weights.demands.len() {
+            self.reweigh(lib, catalog, store, SiId(si));
+        }
+    }
+
+    /// Re-evaluates the selection from the current weights under the
+    /// Atom-Container budget `capacity`. The result is read back through
+    /// [`selection`](Self::selection).
+    pub fn reselect(&mut self, lib: &SiLibrary, capacity: u32) {
         self.reselects += 1;
-        weigh_demands_into(
+        self.policy.reselect(
+            &mut self.greedy,
             lib,
-            catalog,
-            self.power_mode,
-            demands,
-            &mut self.weigh_acc,
-            &mut self.last_weights,
+            &self.weights.demands,
+            capacity,
+            &mut self.selection,
         );
-        self.selection =
-            self.policy
-                .select_with(&mut self.ctx, lib, &self.last_weights.demands, capacity);
     }
 }
 
@@ -365,24 +375,47 @@ mod tests {
         mode: PowerMode,
         store: &ForecastStore,
     ) -> DemandWeights {
-        let mut out = DemandWeights::default();
-        weigh_demands_into(lib, catalog, mode, store, &mut Vec::new(), &mut out);
-        out
+        let mut stage = SelectionStage::new(GreedySelection, mode, lib.len());
+        stage.reweigh_all(lib, catalog, store);
+        stage.weights().clone()
     }
 
     #[test]
     fn weights_aggregate_over_tasks_and_keep_first_owner() {
         let (lib, catalog, s0, _) = platform();
-        let mut store = ForecastStore::new(0.25);
+        let mut store = ForecastStore::new(0.25, 2);
         store.insert(3, fv(s0, 10.0));
         store.insert(1, fv(s0, 10.0));
         let w = weigh(&lib, &catalog, PowerMode::Performance, &store);
         // 2 tasks × 10 executions × (500 − 10) cycles saved.
         assert!((w.weight_of(s0) - 2.0 * 10.0 * 490.0).abs() < 1e-9);
-        // Iteration is (task, si)-ascending, so task 1 owns the SI.
+        // Each SI's tasks are kept in ascending order, so task 1 owns it.
         assert_eq!(w.owner_of(s0), Some(1));
         assert_eq!(w.owner_of(SiId(1)), None);
         assert_eq!(w.weight_of(SiId(1)), 0.0);
+        let demanded: Vec<(SiId, TaskId)> = w.iter().map(|(si, _, t)| (si, t)).collect();
+        assert_eq!(demanded, vec![(s0, 1)]);
+    }
+
+    #[test]
+    fn reweighing_one_si_leaves_the_others_and_ignores_unknown_ids() {
+        let (lib, catalog, s0, s1) = platform();
+        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), lib.len());
+        let mut store = ForecastStore::new(0.25, 2);
+        store.insert(0, fv(s0, 10.0));
+        store.insert(2, fv(s1, 10.0));
+        stage.reweigh(&lib, &catalog, &store, s1);
+        assert_eq!(stage.weights().weight_of(s0), 0.0);
+        assert!((stage.weights().weight_of(s1) - 10.0 * 385.0).abs() < 1e-9);
+        assert_eq!(stage.weights().owner_of(s1), Some(2));
+        let before = stage.weights().clone();
+        stage.reweigh(&lib, &catalog, &store, SiId(2));
+        assert_eq!(stage.weights(), &before);
+        // Retracting the last demand clears the weight and the owner.
+        store.retract(2, s1);
+        stage.reweigh(&lib, &catalog, &store, s1);
+        assert_eq!(stage.weights().weight_of(s1), 0.0);
+        assert_eq!(stage.weights().owner_of(s1), None);
     }
 
     #[test]
@@ -393,10 +426,10 @@ mod tests {
             model: EnergyModel::default(),
             alpha: 1.0,
         };
-        let mut few = ForecastStore::new(0.25);
+        let mut few = ForecastStore::new(0.25, 2);
         few.insert(0, fv(s0, 3.0));
         assert_eq!(weigh(&lib, &catalog, mode, &few).weight_of(s0), 0.0);
-        let mut many = ForecastStore::new(0.25);
+        let mut many = ForecastStore::new(0.25, 2);
         many.insert(0, fv(s0, 100_000.0));
         assert!(weigh(&lib, &catalog, mode, &many).weight_of(s0) > 0.0);
     }
@@ -404,13 +437,14 @@ mod tests {
     #[test]
     fn stage_tracks_selection_and_reselects() {
         let (lib, catalog, s0, s1) = platform();
-        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default());
-        let mut store = ForecastStore::new(0.25);
+        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), lib.len());
+        let mut store = ForecastStore::new(0.25, 2);
         store.insert(0, fv(s0, 100.0));
         store.insert(1, fv(s1, 1.0));
-        stage.reselect(&lib, &catalog, &store, 3);
+        stage.reweigh_all(&lib, &catalog, &store);
+        stage.reselect(&lib, 3);
         assert_eq!(stage.reselects(), 1);
-        let w = stage.last_weights();
+        let w = stage.weights();
         assert!(w.weight_of(s0) > w.weight_of(s1));
         // S0 dominates: the target covers its fast Molecule.
         assert!(Molecule::from_counts([2, 1]).le(&stage.selection().target));
@@ -419,7 +453,7 @@ mod tests {
     #[test]
     fn greedy_and_exhaustive_agree_on_the_small_platform() {
         let (lib, catalog, s0, s1) = platform();
-        let mut store = ForecastStore::new(0.25);
+        let mut store = ForecastStore::new(0.25, 2);
         store.insert(0, fv(s0, 50.0));
         store.insert(1, fv(s1, 50.0));
         let w = weigh(&lib, &catalog, PowerMode::Performance, &store);
@@ -432,11 +466,12 @@ mod tests {
     fn power_mode_switch_reweighs_under_the_new_goal() {
         use rispp_core::energy::EnergyModel;
         let (lib, catalog, s0, _) = platform();
-        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default());
-        let mut store = ForecastStore::new(0.25);
+        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), lib.len());
+        let mut store = ForecastStore::new(0.25, 2);
         store.insert(0, fv(s0, 3.0));
-        stage.reselect(&lib, &catalog, &store, 3);
-        assert!(stage.last_weights().weight_of(s0) > 0.0);
+        stage.reweigh(&lib, &catalog, &store, s0);
+        stage.reselect(&lib, 3);
+        assert!(stage.weights().weight_of(s0) > 0.0);
         assert!(!stage.selection().chosen.is_empty());
         stage.set_power_mode(PowerMode::EnergySaving {
             model: EnergyModel::default(),
@@ -444,8 +479,9 @@ mod tests {
         });
         // Same store, new goal: three executions never amortise a
         // rotation, so the re-weighed demand is zero and nothing is chosen.
-        stage.reselect(&lib, &catalog, &store, 3);
-        assert!(stage.last_weights().weight_of(s0).abs() < f64::EPSILON);
+        stage.reweigh_all(&lib, &catalog, &store);
+        stage.reselect(&lib, 3);
+        assert!(stage.weights().weight_of(s0).abs() < f64::EPSILON);
         assert!(stage.selection().chosen.is_empty());
     }
 

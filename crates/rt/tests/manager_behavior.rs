@@ -336,6 +336,114 @@ fn execute_panics_on_unknown_si() {
     let _ = mgr.execute_si(0, SiId(99));
 }
 
+/// A manager over [`small_platform`] recording every event it emits.
+fn recorded_platform() -> (
+    RisppManager,
+    std::rc::Rc<std::cell::RefCell<rispp_obs::TimelineSink>>,
+    SiId,
+) {
+    let (lib, fabric, s0, _) = small_platform();
+    let timeline = std::rc::Rc::new(std::cell::RefCell::new(rispp_obs::TimelineSink::new()));
+    let mgr = RisppManager::builder(lib, fabric)
+        .sink(SinkHandle::shared(timeline.clone()))
+        .build();
+    (mgr, timeline, s0)
+}
+
+#[test]
+fn try_forecast_refuses_bad_values_before_emitting_anything() {
+    let (mut mgr, timeline, s0) = recorded_platform();
+    let value = |si, p, n| ForecastValue::new(si, p, 50_000.0, n);
+    for si in [SiId(2), SiId(99)] {
+        assert_eq!(
+            mgr.try_forecast(0, value(si, 1.0, 10.0)),
+            Err(CoreError::UnknownSi {
+                id: si.index(),
+                library_len: 2
+            })
+        );
+    }
+    for bad in [f64::NAN, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
+        for (field, v) in [
+            ("probability", value(s0, bad, 10.0)),
+            ("expected_executions", value(s0, 1.0, bad)),
+        ] {
+            let err = mgr.try_forecast(0, v).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidForecast { si: 0, field: f, value }
+                    if f == field && value.to_bits() == bad.to_bits()),
+                "{err}"
+            );
+            assert!(err.to_string().contains("negative or not finite"));
+        }
+    }
+    // Nothing was emitted, selected or rotated.
+    assert!(timeline.borrow().timeline().is_empty());
+    assert_eq!(mgr.reselects(), 0);
+    assert!(mgr.target().is_zero());
+    assert_eq!(mgr.all_rotations_done_at(), None);
+    // A valid forecast passes the same gate, as `forecast` would.
+    assert_eq!(mgr.try_forecast(0, value(s0, 1.0, 10.0)), Ok(()));
+    assert_eq!(mgr.reselects(), 1);
+    assert!(!mgr.target().is_zero());
+}
+
+#[test]
+#[should_panic(expected = "negative or not finite")]
+fn forecast_panics_on_a_negative_probability() {
+    let (lib, fabric, s0, _) = small_platform();
+    let mut mgr = RisppManager::builder(lib, fabric).build();
+    mgr.forecast(0, ForecastValue::new(s0, -1.0, 50_000.0, 10.0));
+}
+
+#[test]
+#[should_panic(expected = "unknown special instruction")]
+fn forecast_block_panics_on_an_unknown_si() {
+    let (lib, fabric, s0, _) = small_platform();
+    let mut mgr = RisppManager::builder(lib, fabric).build();
+    mgr.forecast_block(0, vec![fv(s0, 10.0), fv(SiId(2), 10.0)]);
+}
+
+#[test]
+fn retraction_and_outcome_for_an_unknown_si_only_emit_their_events() {
+    let (mut mgr, timeline, s0) = recorded_platform();
+    mgr.forecast(0, fv(s0, 100.0));
+    // With the target loaded, a re-selection that changes nothing plans
+    // nothing, so only the call's own events remain.
+    drain_rotations(&mut mgr);
+    let target = mgr.target().clone();
+    let before = timeline.borrow().timeline().len();
+    let unknown = SiId(2);
+    mgr.retract_forecast(0, unknown);
+    mgr.record_fc_outcome(0, unknown, true, 10_000.0, 5.0);
+    let events: Vec<Event> = timeline.borrow().timeline().entries()[before..]
+        .iter()
+        .map(|r| r.event.clone())
+        .collect();
+    assert_eq!(
+        events,
+        vec![
+            Event::ForecastRetracted {
+                task: 0,
+                si: unknown
+            },
+            Event::Reselect {
+                trigger: ReselectTrigger::Retract
+            },
+            Event::FcOutcome {
+                task: 0,
+                si: unknown,
+                reached: true
+            },
+            Event::Reselect {
+                trigger: ReselectTrigger::Observation
+            },
+        ]
+    );
+    assert_eq!(mgr.target(), &target);
+    assert_eq!(mgr.reselects(), 3);
+}
+
 #[test]
 fn sink_sees_manager_events_at_source() {
     use rispp_obs::TimelineSink;
