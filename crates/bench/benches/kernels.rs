@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rispp::h264::block::{Block4x4, Plane};
 use rispp::h264::me::full_search_4x4;
 use rispp::h264::quant::{dequantize4x4, quantize4x4};
-use rispp::h264::satd::{sad4x4, satd4x4};
+use rispp::h264::satd::{sad4x4, satd4x4, satd_search_4x4};
 use rispp::h264::transform::{forward_dct4x4, hadamard4x4, inverse_dct4x4};
 use rispp::h264::video::SyntheticVideo;
 
@@ -53,6 +53,12 @@ fn bench_kernels(c: &mut Criterion) {
     let refp: &Plane = &f0.y;
     group.bench_function("full_search_4x4/range4", |b| {
         b.iter(|| full_search_4x4(black_box(cur), black_box(refp), 24, 24, 4))
+    });
+    // The encoder's per-sub-block candidate search: one 7×7 reference
+    // window read, 16 SATDs scored from it.
+    group.bench_function("satd_search_4x4", |b| {
+        let orig = cur.block4x4(24, 24);
+        b.iter(|| satd_search_4x4(black_box(&orig), &black_box(refp).window7x7(22, 22)))
     });
 
     group.bench_function("half_sample_hv", |b| {

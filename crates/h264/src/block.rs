@@ -6,6 +6,11 @@ pub type Block4x4 = [[i32; 4]; 4];
 /// A 2×2 block (chroma DC coefficients).
 pub type Block2x2 = [[i32; 2]; 2];
 
+/// The 7×7 reference samples that the 16 SATD candidates of one 4×4
+/// sub-block read: 4×4 blocks at displacements −2..=1 on each axis from
+/// a search centre.
+pub type Window7x7 = [[i32; 7]; 7];
+
 /// One 8-bit sample plane (luma or chroma) with explicit dimensions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plane {
@@ -65,10 +70,36 @@ impl Plane {
     /// borders.
     #[must_use]
     pub fn block4x4(&self, x: isize, y: isize) -> Block4x4 {
-        let mut out = [[0i32; 4]; 4];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = i32::from(self.sample(x + c as isize, y + r as isize));
+        self.square(x, y)
+    }
+
+    /// Extracts the 7×7 window at `(x, y)` (top-left corner), clamping at
+    /// the borders.
+    #[must_use]
+    pub fn window7x7(&self, x: isize, y: isize) -> Window7x7 {
+        self.square(x, y)
+    }
+
+    /// The `N`×`N` samples at `(x, y)`: whole row slices when the square
+    /// lies inside the plane, [`Plane::sample`]'s clamp otherwise. Both
+    /// read the same samples wherever the square is inside.
+    fn square<const N: usize>(&self, x: isize, y: isize) -> [[i32; N]; N] {
+        let mut out = [[0i32; N]; N];
+        let inside =
+            x >= 0 && y >= 0 && x as usize + N <= self.width && y as usize + N <= self.height;
+        if inside {
+            let (x, y) = (x as usize, y as usize);
+            for (r, row) in out.iter_mut().enumerate() {
+                let start = (y + r) * self.width + x;
+                for (v, &s) in row.iter_mut().zip(&self.data[start..start + N]) {
+                    *v = i32::from(s);
+                }
+            }
+        } else {
+            for (r, row) in out.iter_mut().enumerate() {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = i32::from(self.sample(x + c as isize, y + r as isize));
+                }
             }
         }
         out

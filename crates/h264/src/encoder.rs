@@ -34,7 +34,7 @@ use crate::entropy::{encode_block, BitWriter};
 use crate::intra::{predict4x4_full, IntraMode4x4, INTRA_MODES_4X4};
 use crate::me::full_search_4x4;
 use crate::quant::{dequantize4x4, nonzero_count, quantize4x4};
-use crate::satd::{residual4x4, satd4x4};
+use crate::satd::{residual4x4, satd4x4, satd_search_4x4};
 use crate::si_library::H264Sis;
 use crate::transform::{forward_dct4x4, hadamard2x2, hadamard4x4, inverse_dct4x4};
 
@@ -164,7 +164,8 @@ pub struct MacroblockResult {
 ///
 /// # Panics
 ///
-/// Panics if the macroblock does not lie inside the frame.
+/// Panics if the macroblock does not lie inside the frame or inside
+/// `recon`.
 #[must_use]
 pub fn encode_macroblock(
     current: &Frame,
@@ -184,7 +185,8 @@ pub fn encode_macroblock(
 ///
 /// # Panics
 ///
-/// Panics if the macroblock does not lie inside the frame.
+/// Panics if the macroblock does not lie inside the frame or inside
+/// `recon`.
 #[must_use]
 pub fn encode_macroblock_into(
     writer: &mut BitWriter,
@@ -201,6 +203,10 @@ pub fn encode_macroblock_into(
         bx + 16 <= current.width() && by + 16 <= current.height(),
         "macroblock outside frame"
     );
+    assert!(
+        bx + 16 <= recon.width && by + 16 <= recon.height,
+        "macroblock outside reconstruction plane"
+    );
     let mut counts = SiInvocationCounts::default();
     let mut total_cost = 0u64;
     let mut coded_levels = 0usize;
@@ -213,8 +219,8 @@ pub fn encode_macroblock_into(
     // (x, y, original block, best prediction, chosen displacement)
     type SubBlockChoice = (usize, usize, Block4x4, Block4x4, (i32, i32));
     let mut inter_cost_probe = 0u64;
-    let mut sub_results: Vec<SubBlockChoice> = Vec::with_capacity(16);
-    for sb in 0..16 {
+    let mut sub_results = [SubBlockChoice::default(); 16];
+    for (sb, choice) in sub_results.iter_mut().enumerate() {
         let sx = bx + (sb % 4) * 4;
         let sy = by + (sb / 4) * 4;
         let orig = current.y.block4x4(sx as isize, sy as isize);
@@ -231,25 +237,22 @@ pub fn encode_macroblock_into(
         };
 
         // 16 SATD candidates: a 4×4 displacement grid around the search
-        // centre (co-located block when ME is disabled).
-        let mut best_pred = reference.y.block4x4(sx as isize + cx, sy as isize + cy);
-        let mut best_disp = (cx as i32, cy as i32);
-        let mut best_cost = u32::MAX;
-        for ci in 0..CANDIDATES_PER_SUBBLOCK {
-            let dx = cx + (ci % 4) as isize - 2;
-            let dy = cy + (ci / 4) as isize - 2;
-            let pred = reference.y.block4x4(sx as isize + dx, sy as isize + dy);
-            let cost = satd4x4(&orig, &pred);
-            counts.satd_4x4 += 1;
-            if cost < best_cost {
-                best_cost = cost;
-                best_pred = pred;
-                best_disp = (dx as i32, dy as i32);
-            }
+        // centre (co-located block when ME is disabled), displacements
+        // −2..=1 on each axis, all read from one 7×7 reference window.
+        let window = reference
+            .y
+            .window7x7(sx as isize + cx - 2, sy as isize + cy - 2);
+        let (best_cost, best) = satd_search_4x4(&orig, &window);
+        counts.satd_4x4 += CANDIDATES_PER_SUBBLOCK as u64;
+        let (oy, ox) = (best / 4, best % 4);
+        let mut best_pred = [[0i32; 4]; 4];
+        for (p, w) in best_pred.iter_mut().zip(&window[oy..oy + 4]) {
+            p.copy_from_slice(&w[ox..ox + 4]);
         }
+        let best_disp = ((cx + ox as isize - 2) as i32, (cy + oy as isize - 2) as i32);
         inter_cost_probe += u64::from(best_cost);
         total_cost += u64::from(best_cost);
-        sub_results.push((sx, sy, orig, best_pred, best_disp));
+        *choice = (sx, sy, orig, best_pred, best_disp);
     }
 
     // Quality-Manager decision: worst case → intra MB injection.
@@ -316,12 +319,17 @@ pub fn encode_macroblock_into(
             }
         }
         // Reconstruction: dequantise, inverse transform, add prediction.
+        // The asserts above keep every row of the sub-block inside
+        // `recon`.
         let deq = dequantize4x4(&levels, config.qp);
         let rec_res = inverse_dct4x4(&deq);
+        let width = recon.width;
+        let samples = recon.data_mut();
         for r in 0..4 {
+            let row = &mut samples[(sy + r) * width + sx..][..4];
             for c in 0..4 {
                 let value = (pred[r][c] + rec_res[r][c]).clamp(0, 255);
-                recon.set_sample(sx + c, sy + r, value as u8);
+                row[c] = value as u8;
                 let err = i64::from(orig[r][c]) - i64::from(value);
                 luma_sse += (err * err) as u64;
             }

@@ -61,19 +61,18 @@ pub struct RunLevel {
 
 /// Converts a zig-zag sequence into `(run, level)` pairs (trailing zeros
 /// are implicit).
-#[must_use]
-pub fn run_level_encode(seq: &[i32; 16]) -> Vec<RunLevel> {
-    let mut out = Vec::new();
+pub fn run_level_encode(seq: &[i32; 16]) -> impl Iterator<Item = RunLevel> + '_ {
     let mut run = 0u8;
-    for &v in seq {
-        if v == 0 {
+    seq.iter().filter_map(move |&level| {
+        if level == 0 {
             run += 1;
+            None
         } else {
-            out.push(RunLevel { run, level: v });
+            let pair = RunLevel { run, level };
             run = 0;
+            Some(pair)
         }
-    }
-    out
+    })
 }
 
 /// Expands `(run, level)` pairs back into a 16-coefficient sequence.
@@ -109,40 +108,59 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Appends the `count` low bits of `value`, MSB first.
+    /// Appends the `count` low bits of `value`, MSB first, filling the
+    /// trailing byte before starting the next.
     ///
     /// # Panics
     ///
     /// Panics if `count > 32`.
     pub fn put_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "at most 32 bits at a time");
-        for i in (0..count).rev() {
-            let bit = (value >> i) & 1;
+        let mut left = count;
+        while left > 0 {
             if self.partial == 0 {
                 self.bytes.push(0);
             }
+            let free = 8 - self.partial;
+            let n = free.min(left);
+            left -= n;
+            let chunk = (value >> left) & ((1 << n) - 1);
             let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (bit as u8) << (7 - self.partial);
-            self.partial = (self.partial + 1) % 8;
+            *last |= (chunk as u8) << (free - n);
+            self.partial = (self.partial + n) % 8;
         }
     }
 
     /// Appends an unsigned Exp-Golomb code `ue(v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == u32::MAX`: its code has 32 leading zeros, one more
+    /// than [`BitReader::ue`] reads.
     pub fn put_ue(&mut self, v: u32) {
-        let x = v + 1;
-        let bits = 32 - x.leading_zeros() as u8; // position of the MSB
-        self.put_bits(0, bits - 1); // leading zeros
-        self.put_bits(x, bits);
+        let x = u64::from(v) + 1;
+        let bits = 64 - x.leading_zeros(); // position of the MSB
+        assert!(
+            bits <= 32,
+            "ue({v}) needs {} leading zeros; at most 31 are readable",
+            bits - 1
+        );
+        self.put_bits(0, (bits - 1) as u8); // leading zeros
+        self.put_bits(x as u32, bits as u8);
     }
 
     /// Appends a signed Exp-Golomb code `se(v)` (H.264 mapping:
     /// v>0 → 2v−1, v≤0 → −2v).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == i32::MIN`: it maps to 2³², past [`BitWriter::put_ue`]'s
+    /// range.
     pub fn put_se(&mut self, v: i32) {
-        let mapped = if v > 0 {
-            (2 * v - 1) as u32
-        } else {
-            (-2 * (v as i64)) as u32
-        };
+        let wide = i64::from(v);
+        let mapped = if v > 0 { 2 * wide - 1 } else { -2 * wide };
+        let mapped = u32::try_from(mapped)
+            .unwrap_or_else(|_| panic!("se({v}) maps to {mapped}, past ue's range"));
         self.put_ue(mapped);
     }
 
@@ -228,9 +246,9 @@ impl<'a> BitReader<'a> {
 /// `ue(run)` + `se(level)`. Returns the bit count written.
 pub fn encode_block(writer: &mut BitWriter, levels: &Block4x4) -> usize {
     let before = writer.bit_len();
-    let pairs = run_level_encode(&zigzag_scan(levels));
-    writer.put_ue(pairs.len() as u32);
-    for p in &pairs {
+    let seq = zigzag_scan(levels);
+    writer.put_ue(seq.iter().filter(|&&v| v != 0).count() as u32);
+    for p in run_level_encode(&seq) {
         writer.put_ue(u32::from(p.run));
         writer.put_se(p.level);
     }
@@ -287,7 +305,7 @@ mod tests {
     #[test]
     fn run_level_roundtrips() {
         let seq = [0, 5, 0, 0, -3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2];
-        let pairs = run_level_encode(&seq);
+        let pairs: Vec<RunLevel> = run_level_encode(&seq).collect();
         assert_eq!(
             pairs,
             vec![
@@ -302,21 +320,37 @@ mod tests {
 
     #[test]
     fn exp_golomb_roundtrips() {
+        // Small values, and the ends of the range whose codes have at
+        // most 31 leading zeros.
+        let unsigned = || (0..200u32).chain([1 << 31, u32::MAX - 1]);
+        let signed = || (-100..100i32).chain([1 << 30, -(1 << 30), i32::MAX, i32::MIN + 1]);
         let mut w = BitWriter::new();
-        for v in 0..200u32 {
+        for v in unsigned() {
             w.put_ue(v);
         }
-        for v in -100..100i32 {
+        for v in signed() {
             w.put_se(v);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        for v in 0..200u32 {
+        for v in unsigned() {
             assert_eq!(r.ue(), Some(v));
         }
-        for v in -100..100i32 {
+        for v in signed() {
             assert_eq!(r.se(), Some(v));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "se(-2147483648)")]
+    fn se_refuses_i32_min() {
+        BitWriter::new().put_se(i32::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "ue(4294967295)")]
+    fn ue_refuses_u32_max() {
+        BitWriter::new().put_ue(u32::MAX);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! 32-bit register (Pack — which is why the kernels stay within 16-bit
 //! range), Hadamard-transformed (Transform) and absolute-summed (SATD).
 
-use crate::block::Block4x4;
+use crate::block::{Block4x4, Window7x7};
 use crate::transform::hadamard4x4;
 
 /// Element-wise difference of two 4×4 blocks (the QuadSub Atom's job).
@@ -36,12 +36,49 @@ pub fn sad4x4(original: &Block4x4, prediction: &Block4x4) -> u32 {
 /// 4×4 Sum of Absolute Transformed Differences: Hadamard-transform the
 /// residual, sum the magnitudes, halve (the standard normalisation that
 /// keeps SATD comparable with SAD).
+///
+/// Samples are 16-bit values, as the Pack Atom holds them, so the sum of
+/// the transformed magnitudes fits in 32 bits.
 #[must_use]
 pub fn satd4x4(original: &Block4x4, prediction: &Block4x4) -> u32 {
-    let diff = residual4x4(original, prediction);
-    let t = hadamard4x4(&diff, false);
-    let sum: i64 = t.iter().flatten().map(|&v| i64::from(v.abs())).sum();
-    ((sum + 1) / 2) as u32
+    satd_of_residual(&residual4x4(original, prediction))
+}
+
+/// Scores the 16 SATD candidates of one 4×4 sub-block from the
+/// reference window they share, and returns the first minimum as
+/// `(cost, candidate)`.
+///
+/// Candidate `i` is the 4×4 block at row `i / 4`, column `i % 4` of
+/// `window`, so with the window's top-left corner at the search centre
+/// minus `(2, 2)` it is displacement `(i % 4 − 2, i / 4 − 2)`. Each cost
+/// equals [`satd4x4`] of `original` against that block: both run the
+/// same residual and butterflies, so the search picks the candidate a
+/// per-candidate [`satd4x4`] loop in index order would.
+#[must_use]
+pub fn satd_search_4x4(original: &Block4x4, window: &Window7x7) -> (u32, usize) {
+    let mut best = (u32::MAX, 0);
+    for candidate in 0..16 {
+        let (oy, ox) = (candidate / 4, candidate % 4);
+        let mut diff = [[0i32; 4]; 4];
+        for ((d, o), w) in diff.iter_mut().zip(original).zip(&window[oy..oy + 4]) {
+            for ((d, &o), &w) in d.iter_mut().zip(o).zip(&w[ox..ox + 4]) {
+                *d = o - w;
+            }
+        }
+        let cost = satd_of_residual(&diff);
+        if cost < best.0 {
+            best = (cost, candidate);
+        }
+    }
+    best
+}
+
+/// The one SATD: Hadamard butterflies over a residual, magnitudes
+/// summed and halved with rounding.
+fn satd_of_residual(diff: &Block4x4) -> u32 {
+    let t = hadamard4x4(diff, false);
+    let sum: u32 = t.iter().flatten().map(|v| v.unsigned_abs()).sum();
+    sum.div_ceil(2)
 }
 
 #[cfg(test)]

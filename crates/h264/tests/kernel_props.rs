@@ -1,12 +1,13 @@
 //! Property tests on the H.264 kernels: transform linearity, metric
-//! axioms of SAD/SATD, quantiser monotonicity, and entropy-codec
-//! round-trips on arbitrary blocks.
+//! axioms of SAD/SATD, the window search against a per-candidate SATD
+//! loop, quantiser monotonicity, and entropy-codec round-trips on
+//! arbitrary blocks.
 
 use proptest::prelude::*;
-use rispp_h264::block::Block4x4;
+use rispp_h264::block::{Block4x4, Plane};
 use rispp_h264::entropy::{decode_block, encode_block, BitReader, BitWriter};
 use rispp_h264::quant::{dequantize4x4, nonzero_count, quantize4x4};
-use rispp_h264::satd::{residual4x4, sad4x4, satd4x4};
+use rispp_h264::satd::{residual4x4, sad4x4, satd4x4, satd_search_4x4};
 use rispp_h264::transform::{forward_dct4x4, hadamard4x4, inverse_dct4x4};
 
 fn block(range: std::ops::Range<i32>) -> impl Strategy<Value = Block4x4> {
@@ -15,6 +16,43 @@ fn block(range: std::ops::Range<i32>) -> impl Strategy<Value = Block4x4> {
 
 fn pixel_block() -> impl Strategy<Value = Block4x4> {
     block(0..256)
+}
+
+/// Planes from 1×1 to 23×23 samples.
+fn plane() -> impl Strategy<Value = Plane> {
+    (1usize..24, 1usize..24).prop_flat_map(|(w, h)| {
+        proptest::collection::vec(any::<u8>(), w * h)
+            .prop_map(move |data| Plane::from_data(w, h, data))
+    })
+}
+
+/// The 4×4 block at `(x, y)`, read one clamped sample at a time.
+fn clamped_block(p: &Plane, x: isize, y: isize) -> Block4x4 {
+    let mut out = [[0i32; 4]; 4];
+    for (r, row) in out.iter_mut().enumerate() {
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = i32::from(p.sample(x + c as isize, y + r as isize));
+        }
+    }
+    out
+}
+
+/// The bytes and bit length of `chunks` written one bit at a time, MSB
+/// first, each value's bits above its count ignored.
+fn bit_by_bit(chunks: &[(u32, u8)]) -> (Vec<u8>, usize) {
+    let mut bytes = Vec::new();
+    let mut len = 0usize;
+    for &(value, count) in chunks {
+        for i in (0..count).rev() {
+            if len.is_multiple_of(8) {
+                bytes.push(0);
+            }
+            let bit = ((value >> i) & 1) as u8;
+            *bytes.last_mut().expect("pushed above") |= bit << (7 - len % 8);
+            len += 1;
+        }
+    }
+    (bytes, len)
 }
 
 proptest! {
@@ -99,6 +137,31 @@ proptest! {
     }
 
     #[test]
+    fn window_search_matches_a_per_candidate_satd_loop(
+        (reference, x, y) in plane().prop_flat_map(|p| {
+            let (w, h) = (p.width as isize, p.height as isize);
+            (Just(p), -9..w + 9, -9..h + 9)
+        }),
+        orig in pixel_block(),
+    ) {
+        // Candidate `i` sits at displacement (i % 4 − 2, i / 4 − 2) from
+        // (x, y); positions reach windows wholly outside the plane.
+        let mut expected = (u32::MAX, (0, 0));
+        for i in 0..16isize {
+            let (dx, dy) = (i % 4 - 2, i / 4 - 2);
+            let cand = clamped_block(&reference, x + dx, y + dy);
+            prop_assert_eq!(reference.block4x4(x + dx, y + dy), cand);
+            let cost = satd4x4(&orig, &cand);
+            if cost < expected.0 {
+                expected = (cost, (dx, dy));
+            }
+        }
+        let (cost, i) = satd_search_4x4(&orig, &reference.window7x7(x - 2, y - 2));
+        let i = i as isize;
+        prop_assert_eq!((cost, (i % 4 - 2, i / 4 - 2)), expected);
+    }
+
+    #[test]
     fn residual_plus_prediction_restores(a in pixel_block(), b in pixel_block()) {
         let r = residual4x4(&a, &b);
         for i in 0..4 {
@@ -120,15 +183,32 @@ proptest! {
     }
 
     #[test]
-    fn ue_se_roundtrip(values in proptest::collection::vec(-5000i32..5000, 1..50)) {
+    fn ue_se_roundtrip(
+        values in proptest::collection::vec(
+            prop_oneof![-5000i32..5000, (i32::MIN + 1)..=i32::MAX],
+            1..50,
+        ),
+        codes in proptest::collection::vec(
+            prop_oneof![0u32..5000, 0..=u32::MAX - 1],
+            1..50,
+        ),
+    ) {
+        // Every value but i32::MIN and u32::MAX, whose codes need 32
+        // leading zeros (`BitWriter::put_se` and `put_ue` refuse them).
         let mut w = BitWriter::new();
         for &v in &values {
             w.put_se(v);
+        }
+        for &v in &codes {
+            w.put_ue(v);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for &v in &values {
             prop_assert_eq!(r.se(), Some(v));
+        }
+        for &v in &codes {
+            prop_assert_eq!(r.ue(), Some(v));
         }
     }
 
@@ -184,14 +264,17 @@ proptest! {
     }
 
     #[test]
-    fn bit_length_counts_exactly(chunks in proptest::collection::vec((0u32..1024, 1u8..11), 0..20)) {
+    fn bit_length_counts_exactly(
+        chunks in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..40),
+    ) {
+        // The bytewise writer against a bit-by-bit one: same bytes, same
+        // length, whatever the alignment and the bits above `count`.
         let mut w = BitWriter::new();
-        let mut expect = 0usize;
         for &(v, n) in &chunks {
-            w.put_bits(v & ((1 << n) - 1), n);
-            expect += usize::from(n);
+            w.put_bits(v, n);
         }
-        prop_assert_eq!(w.bit_len(), expect);
-        prop_assert_eq!(w.as_bytes().len(), expect.div_ceil(8));
+        let (bytes, len) = bit_by_bit(&chunks);
+        prop_assert_eq!(w.bit_len(), len);
+        prop_assert_eq!(w.as_bytes(), &bytes[..]);
     }
 }

@@ -132,12 +132,13 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> ManagerBuilder<S, R> {
         let dispatch = DispatchTable::new(self.lib.len(), self.fabric.num_containers());
         let mut fabric = self.fabric;
         fabric.set_sink(SinkHandle::tee(fabric.sink().clone(), self.sink.clone()));
-        let si_count = self.lib.len();
+        let forecasts = ForecastStore::new(SMOOTHING, self.lib.len());
+        let selector = SelectionStage::new(self.selection_policy, self.power_mode, &self.lib);
         RisppManager {
             lib: self.lib,
             fabric,
-            forecasts: ForecastStore::new(SMOOTHING, si_count),
-            selector: SelectionStage::new(self.selection_policy, self.power_mode, si_count),
+            forecasts,
+            selector,
             scheduler: self.schedule_policy,
             ledger: StatsLedger::new(),
             backoff: BackoffGovernor::new(RetryPolicy::default()),

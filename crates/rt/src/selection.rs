@@ -21,6 +21,7 @@
 //! same inputs, every function returns the same outputs.
 
 use rispp_core::forecast::ForecastValue;
+use rispp_core::molecule::Molecule;
 pub use rispp_core::selection::{
     select_molecules, select_molecules_exhaustive, MoleculeSelection, ResumableGreedy,
 };
@@ -236,17 +237,21 @@ pub struct SelectionStage<S = GreedySelection> {
 }
 
 impl<S: SelectionPolicy> SelectionStage<S> {
-    /// Creates the stage for a library of `si_count` SIs, with zero
-    /// weights and an empty selection.
+    /// Creates the stage for `lib`, with zero weights and an empty
+    /// selection: the zero Molecule of the library's width as target,
+    /// which every fabric of that width already holds.
     #[must_use]
-    pub fn new(policy: S, power_mode: PowerMode, si_count: usize) -> Self {
+    pub fn new(policy: S, power_mode: PowerMode, lib: &SiLibrary) -> Self {
         SelectionStage {
             policy,
             power_mode,
-            selection: MoleculeSelection::default(),
+            selection: MoleculeSelection {
+                target: Molecule::zero(lib.width()),
+                chosen: Vec::new(),
+            },
             reselects: 0,
             greedy: ResumableGreedy::default(),
-            weights: DemandWeights::new(si_count),
+            weights: DemandWeights::new(lib.len()),
         }
     }
 
@@ -375,7 +380,7 @@ mod tests {
         mode: PowerMode,
         store: &ForecastStore,
     ) -> DemandWeights {
-        let mut stage = SelectionStage::new(GreedySelection, mode, lib.len());
+        let mut stage = SelectionStage::new(GreedySelection, mode, lib);
         stage.reweigh_all(lib, catalog, store);
         stage.weights().clone()
     }
@@ -400,7 +405,7 @@ mod tests {
     #[test]
     fn reweighing_one_si_leaves_the_others_and_ignores_unknown_ids() {
         let (lib, catalog, s0, s1) = platform();
-        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), lib.len());
+        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), &lib);
         let mut store = ForecastStore::new(0.25, 2);
         store.insert(0, fv(s0, 10.0));
         store.insert(2, fv(s1, 10.0));
@@ -437,7 +442,7 @@ mod tests {
     #[test]
     fn stage_tracks_selection_and_reselects() {
         let (lib, catalog, s0, s1) = platform();
-        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), lib.len());
+        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), &lib);
         let mut store = ForecastStore::new(0.25, 2);
         store.insert(0, fv(s0, 100.0));
         store.insert(1, fv(s1, 1.0));
@@ -466,7 +471,7 @@ mod tests {
     fn power_mode_switch_reweighs_under_the_new_goal() {
         use rispp_core::energy::EnergyModel;
         let (lib, catalog, s0, _) = platform();
-        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), lib.len());
+        let mut stage = SelectionStage::new(GreedySelection, PowerMode::default(), &lib);
         let mut store = ForecastStore::new(0.25, 2);
         store.insert(0, fv(s0, 3.0));
         stage.reweigh(&lib, &catalog, &store, s0);

@@ -90,6 +90,14 @@ fn advance_or_panic(mgr: &mut RisppManager, t: u64) {
 }
 
 #[test]
+fn a_fresh_manager_already_holds_its_empty_target() {
+    let (lib, fabric, _, _) = small_platform();
+    let mgr = RisppManager::builder(lib, fabric).build();
+    assert_eq!(mgr.target(), &Molecule::zero(2));
+    assert!(mgr.target().le(&mgr.loaded()));
+}
+
+#[test]
 fn forecast_triggers_rotations() {
     let (lib, fabric, s0, _) = small_platform();
     let mut mgr = RisppManager::builder(lib, fabric).build();

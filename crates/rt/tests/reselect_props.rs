@@ -264,13 +264,11 @@ fn run<S: SelectionPolicy>(
             }
         }
         // Every step that can move the weights or the usable capacity
-        // re-selects, so once there is a selection its target reflects
-        // both.
-        if mgr.reselects() > 0 {
-            let capacity = mgr.fabric().usable_containers() as u32;
-            let fresh = select_molecules(mgr.library(), &model.weights(&mgr), capacity);
-            assert_eq!(mgr.target(), &fresh.target, "after {op:?}");
-        }
+        // re-selects, so the target reflects both; before the first
+        // re-selection every weight is zero and so is the target.
+        let capacity = mgr.fabric().usable_containers() as u32;
+        let fresh = select_molecules(mgr.library(), &model.weights(&mgr), capacity);
+        assert_eq!(mgr.target(), &fresh.target, "after {op:?}");
         targets.push(mgr.target().clone());
     }
     drop(mgr);

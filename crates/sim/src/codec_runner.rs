@@ -10,7 +10,7 @@
 //! bitrate together.
 
 use rispp_core::forecast::ForecastValue;
-use rispp_h264::block::Plane;
+use rispp_h264::block::{Frame, Plane};
 use rispp_h264::encoder::{
     encode_macroblock_into, EncoderConfig, SiInvocationCounts, HW_DISPATCH_OVERHEAD,
     PLAIN_CYCLES_PER_MB,
@@ -144,9 +144,12 @@ pub(crate) fn run_live_encoder(spec: &ShardSpec, sink: SinkHandle) -> CodecRunOu
         } else {
             99.0
         };
-        let mut next_ref = current.clone();
-        next_ref.y = recon;
-        reference = next_ref;
+        // The next reference: this frame's chroma with its reconstructed
+        // luma.
+        reference = Frame {
+            y: recon,
+            ..current
+        };
     }
 
     CodecRunOutcome {
