@@ -446,6 +446,31 @@ impl Fabric {
         self.in_flight.as_ref().map(|r| r.done_at)
     }
 
+    /// The earliest cycle at which the fabric changes by itself, with no
+    /// request: a queued rotation starting on an idle port (now), the
+    /// in-flight rotation's next stall or its completion, or the next
+    /// transient fault. `None` when nothing is scheduled.
+    ///
+    /// Until that cycle an advance changes no container state and emits
+    /// no event: the loaded Atoms, [`Fabric::loaded_revision`] and every
+    /// [`Fabric::touch_set`] stay as they are. A change due at exactly
+    /// the current cycle (a transient fault at cycle 0 before the first
+    /// advance) is reported as the current cycle.
+    #[must_use]
+    pub fn next_self_timed_change(&self) -> Option<u64> {
+        let idle_start = (self.in_flight.is_none() && !self.queue.is_empty()).then(|| self.now());
+        let in_flight = self.in_flight.as_ref().map(|r| {
+            r.stalls
+                .front()
+                .map_or(r.done_at, |&(begins_at, _)| begins_at.min(r.done_at))
+        });
+        let transient = self.pending_transients.front().map(|&(at, _)| at);
+        [idle_start, in_flight, transient]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
     /// Cycle by which *all* currently queued rotations will have
     /// completed, accounting for scheduled port stalls.
     #[must_use]
@@ -1332,5 +1357,45 @@ mod tests {
                 kind: AtomKind(2)
             }
         );
+    }
+
+    #[test]
+    fn next_self_timed_change_is_the_first_state_change() {
+        use crate::fault::{FaultPlan, StallWindow};
+        let mut f = fabric(2).with_faults(FaultPlan {
+            stall_windows: vec![StallWindow {
+                from: 1_000,
+                until: 6_000,
+            }],
+            transient_faults: vec![(0, ContainerId(1)), (400_000, ContainerId(0))],
+            ..FaultPlan::default()
+        });
+        // The upset at cycle 0 is due before the first advance.
+        assert_eq!(f.next_self_timed_change(), Some(0));
+        f.advance_to(0).unwrap();
+        assert_eq!(f.next_self_timed_change(), Some(400_000));
+        // A rotation in flight: its stall comes first, then its
+        // completion; the queued one starts at that completion.
+        f.request_rotation(ContainerId(0), AtomKind(0)).unwrap();
+        f.request_rotation(ContainerId(1), AtomKind(1)).unwrap();
+        // (The requests' own start event is handed out by the next
+        // advance.)
+        assert_eq!(f.advance_to(0).unwrap().len(), 1);
+        assert_eq!(f.next_self_timed_change(), Some(1_000));
+        let revision = f.loaded_revision();
+        assert!(f.advance_to(999).unwrap().is_empty());
+        assert_eq!(f.loaded_revision(), revision);
+        f.advance_to(1_000).unwrap();
+        let done = f.next_completion().unwrap();
+        assert_eq!(f.next_self_timed_change(), Some(done));
+        assert!(f.advance_to(done - 1).unwrap().is_empty());
+        assert_eq!(f.loaded_revision(), revision);
+        f.advance_to(done).unwrap();
+        assert_eq!(f.next_self_timed_change(), f.next_completion());
+        f.advance_to(f.next_completion().unwrap()).unwrap();
+        // Idle again: only the last upset is left.
+        assert_eq!(f.next_self_timed_change(), Some(400_000));
+        f.advance_to(400_000).unwrap();
+        assert_eq!(f.next_self_timed_change(), None);
     }
 }

@@ -51,29 +51,28 @@ impl SyntheticVideo {
         let ox = (8 + 2 * t as usize) % (w.saturating_sub(16).max(1));
         let oy = (8 + t as usize) % (h.saturating_sub(16).max(1));
 
-        let mut y = Plane::filled(w, h, 0);
+        let mut y = Vec::with_capacity(w * h);
         for yy in 0..h {
+            let object_rows = yy >= oy && yy < oy + 16;
             for xx in 0..w {
                 let gradient = ((xx + yy + t as usize) % 160) as i32 + 40;
-                let object = if xx >= ox && xx < ox + 16 && yy >= oy && yy < oy + 16 {
+                let object = if object_rows && xx >= ox && xx < ox + 16 {
                     60
                 } else {
                     0
                 };
                 let noise = self.rng.gen_range(-2i32..=2);
-                let v = (gradient + object + noise).clamp(0, 255) as u8;
-                y.set_sample(xx, yy, v);
+                y.push((gradient + object + noise).clamp(0, 255) as u8);
             }
         }
-        let mut cb = Plane::filled(w / 2, h / 2, 128);
-        let mut cr = Plane::filled(w / 2, h / 2, 128);
-        for yy in 0..h / 2 {
-            for xx in 0..w / 2 {
-                let v = (120 + ((xx * 2 + t as usize) % 16)) as u8;
-                cb.set_sample(xx, yy, v);
-                cr.set_sample(xx, yy, 255 - v);
-            }
-        }
+        let y = Plane::from_data(w, h, y);
+        // Chroma varies along x only: every row is the same.
+        let cb_row: Vec<u8> = (0..w / 2)
+            .map(|xx| (120 + ((xx * 2 + t as usize) % 16)) as u8)
+            .collect();
+        let cr_row: Vec<u8> = cb_row.iter().map(|v| 255 - v).collect();
+        let cb = Plane::from_data(w / 2, h / 2, cb_row.repeat(h / 2));
+        let cr = Plane::from_data(w / 2, h / 2, cr_row.repeat(h / 2));
         Frame { y, cb, cr }
     }
 

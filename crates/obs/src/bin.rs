@@ -617,6 +617,59 @@ impl<W: Write> EventSink for BinarySink<W> {
             at,
             event,
         );
+        self.write_full_batch();
+    }
+
+    /// Writes a run as `n` calls to [`EventSink::emit`] would, byte for
+    /// byte and write for write. Records 2 to `n` share their delta
+    /// (`stride`) and their intern-table state (the first record
+    /// interned any new Molecule), so they encode to the same bytes:
+    /// the second is encoded once and copied, a batch at a time, up to
+    /// each point where `n` emits would write the buffer through.
+    fn emit_run(&mut self, first_at: u64, stride: u64, n: u64, event: &Event) {
+        if n == 0 {
+            return;
+        }
+        self.emit(first_at, event);
+        if n == 1 {
+            return;
+        }
+        let start = self.buf.len();
+        encode_record(
+            &mut self.buf,
+            &mut self.scratch,
+            &mut self.table,
+            &mut self.last_mol,
+            &mut self.last_at,
+            first_at + stride,
+            event,
+        );
+        // A repeated record never introduces a Molecule, so it took a
+        // path whose body fits the 64-byte cursor.
+        let mut record = [0u8; 65];
+        let len = self.buf.len() - start;
+        record[..len].copy_from_slice(&self.buf[start..]);
+        self.write_full_batch();
+        let mut left = n - 2;
+        while left > 0 {
+            // Records until the buffer reaches the threshold (it is
+            // below it here), or all that are left.
+            let room = (FLUSH_THRESHOLD - self.buf.len()).div_ceil(len) as u64;
+            let batch = left.min(room);
+            for _ in 0..batch {
+                self.buf.extend_from_slice(&record[..len]);
+            }
+            self.write_full_batch();
+            left -= batch;
+        }
+        self.last_at = first_at + (n - 1) * stride;
+    }
+}
+
+impl<W: Write> BinarySink<W> {
+    /// Writes the buffer through once it holds a batch.
+    #[inline]
+    fn write_full_batch(&mut self) {
         if self.buf.len() >= FLUSH_THRESHOLD {
             let writer = self
                 .writer

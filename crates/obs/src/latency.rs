@@ -40,6 +40,19 @@ impl LatencyHistogram {
         self.max = self.max.max(cycles);
     }
 
+    /// Records `n` samples of `cycles` at once: the same histogram as
+    /// `n` calls to [`LatencyHistogram::record`] (none when `n` is 0).
+    pub fn record_n(&mut self, cycles: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(cycles)] += n;
+        self.total += n;
+        self.sum = self.sum.saturating_add(cycles.saturating_mul(n));
+        self.min = self.min.min(cycles);
+        self.max = self.max.max(cycles);
+    }
+
     /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -277,5 +290,23 @@ mod tests {
         assert_eq!(h.p99(), Some(600));
         assert_eq!(h.quantile(0.0), Some(7));
         assert_eq!((h.min(), h.max()), (Some(4), Some(600)));
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        for (cycles, n) in [(0u64, 3u64), (7, 1), (300, 5), (u64::MAX / 3, 4), (1, 0)] {
+            let mut once = LatencyHistogram::default();
+            once.record(9);
+            let mut each = once.clone();
+            once.record_n(cycles, n);
+            for _ in 0..n {
+                each.record(cycles);
+            }
+            assert_eq!(once, each, "{n} × {cycles}");
+        }
+        // Nothing recorded leaves the empty sentinels alone.
+        let mut h = LatencyHistogram::default();
+        h.record_n(5, 0);
+        assert_eq!(h, LatencyHistogram::default());
     }
 }

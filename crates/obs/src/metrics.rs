@@ -807,6 +807,49 @@ impl EventSink for MetricsSink {
             _ => {}
         }
     }
+
+    /// Folds a run of executions in constant time: the `SiExecuted` arm
+    /// of [`EventSink::emit`] with every count taken `n` times, through
+    /// the same slot lookup. Any other event folds one at a time.
+    fn emit_run(&mut self, first_at: u64, stride: u64, n: u64, event: &Event) {
+        let Event::SiExecuted {
+            task,
+            si,
+            hw,
+            cycles,
+            ..
+        } = event
+        else {
+            for i in 0..n {
+                self.emit(first_at + i * stride, event);
+            }
+            return;
+        };
+        if n == 0 {
+            return;
+        }
+        self.now = self.now.max(first_at + (n - 1) * stride);
+        self.events += n;
+        self.latency.record_n(*cycles, n);
+        self.seek(*task, si.index());
+        let slot = &mut self.slots[self.cursor];
+        slot.stats.executions_total += n;
+        if let Some(executed) = &mut slot.window {
+            *executed = true;
+            slot.stats.executions_in_window += n;
+        }
+        let baseline = &mut self.baselines[slot.baseline];
+        if *hw {
+            self.hw_executions += n;
+            if let Some(baseline) = *baseline {
+                // Saturating n times is saturating the product once.
+                let saved = baseline.saturating_sub(*cycles).saturating_mul(n);
+                self.cycles_saved = self.cycles_saved.saturating_add(saved);
+            }
+        } else {
+            *baseline = Some(*cycles);
+        }
+    }
 }
 
 #[cfg(test)]

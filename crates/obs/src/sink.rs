@@ -14,6 +14,16 @@ use crate::event::Event;
 pub trait EventSink {
     /// Consumes one event.
     fn emit(&mut self, at: u64, event: &Event);
+
+    /// Consumes a run of `n` copies of `event`, the first at `first_at`
+    /// and each next `stride` cycles later: the same as `n` calls to
+    /// [`EventSink::emit`], which is what the default does. Sinks that
+    /// fold a run faster override it; the result must not differ.
+    fn emit_run(&mut self, first_at: u64, stride: u64, n: u64, event: &Event) {
+        for i in 0..n {
+            self.emit(first_at + i * stride, event);
+        }
+    }
 }
 
 /// The always-disabled sink.
@@ -99,6 +109,29 @@ impl SinkHandle {
             self.emit(at, &f());
         }
     }
+
+    /// Emits a run of `n` copies of the event produced by `f`, the first
+    /// at `first_at` and each next `stride` cycles later, constructing
+    /// the event once and only when the handle is enabled and `n > 0`.
+    ///
+    /// Each sink receives the whole run through
+    /// [`EventSink::emit_run`], in list order. So every sink sees what
+    /// `n` calls to [`SinkHandle::emit_with`] would show it; the only
+    /// difference is the interleaving across sinks, which sinks that do
+    /// not share state cannot observe. A run of one is an
+    /// [`SinkHandle::emit_with`].
+    #[inline]
+    pub fn emit_run_with(&self, first_at: u64, stride: u64, n: u64, f: impl FnOnce() -> Event) {
+        if n == 1 {
+            return self.emit_with(first_at, f);
+        }
+        if !self.sinks.is_empty() && n > 0 {
+            let event = f();
+            for sink in &self.sinks {
+                sink.borrow_mut().emit_run(first_at, stride, n, &event);
+            }
+        }
+    }
 }
 
 impl fmt::Debug for SinkHandle {
@@ -178,6 +211,24 @@ mod tests {
         nested.emit(2, &ev());
         nested.emit_with(3, ev);
         assert_eq!(*order.borrow(), [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_run_reaches_each_sink_whole_in_list_order() {
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let tagged = |tag: u8| {
+            SinkHandle::shared(Rc::new(RefCell::new(Tagged {
+                tag,
+                log: order.clone(),
+            })))
+        };
+        let handle = SinkHandle::tee(tagged(0), tagged(1));
+        handle.emit_run_with(10, 5, 3, ev);
+        assert_eq!(*order.borrow(), [0, 0, 0, 1, 1, 1]);
+        // A run of one is one event per sink; an empty run is none.
+        handle.emit_run_with(30, 5, 1, ev);
+        handle.emit_run_with(40, 5, 0, || unreachable!("built for an empty run"));
+        assert_eq!(*order.borrow(), [0, 0, 0, 1, 1, 1, 0, 1]);
     }
 
     /// Appends its tag to a shared log on every event.

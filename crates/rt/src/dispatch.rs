@@ -9,20 +9,23 @@
 //! the SI's first dispatch after the revision moved, so every other
 //! dispatch is an index lookup.
 
+use rispp_core::molecule::Molecule;
 use rispp_core::si::{SiId, SpecialInstruction};
 use rispp_fabric::container::ContainerId;
 use rispp_fabric::fabric::Fabric;
 
+use crate::stats::ExecutionRecord;
+
 /// One SI's dispatch decision at one fabric revision.
 #[derive(Debug, Clone)]
-pub(crate) struct Dispatch {
+struct Dispatch {
     /// The revision this entry was computed at; `None` until first use.
     revision: Option<u64>,
     /// Index into the SI's Molecules of the fastest loaded hardware
     /// Molecule, or `None` for software.
-    pub(crate) best: Option<usize>,
+    best: Option<usize>,
     /// The containers [`Fabric::touch_set`] picks for that Molecule.
-    pub(crate) touch: Vec<ContainerId>,
+    touch: Vec<ContainerId>,
 }
 
 /// Per-SI [`Dispatch`] entries, indexed by [`SiId`].
@@ -51,12 +54,7 @@ impl DispatchTable {
     /// the cached entry while the fabric's revision is the one it was
     /// computed at, else a fresh one — the first Molecule in `def`'s
     /// fastest-first order whose Atoms are all loaded.
-    pub(crate) fn lookup(
-        &mut self,
-        si: SiId,
-        def: &SpecialInstruction,
-        fabric: &Fabric,
-    ) -> &Dispatch {
+    fn lookup(&mut self, si: SiId, def: &SpecialInstruction, fabric: &Fabric) -> &Dispatch {
         let revision = fabric.loaded_revision();
         let entry = &mut self.entries[si.index()];
         if entry.revision != Some(revision) {
@@ -71,6 +69,40 @@ impl DispatchTable {
             entry.revision = Some(revision);
         }
         entry
+    }
+
+    /// How `si` (defined by `def`) executes on `fabric` as loaded now:
+    /// its record and, in hardware, the Molecule it runs on and the
+    /// containers whose LRU cycle it touches. Every execution path of
+    /// the manager dispatches through here, so the rule that picks
+    /// hardware or software lives in this function and
+    /// [`DispatchTable::lookup`].
+    pub(crate) fn execution<'a>(
+        &'a mut self,
+        si: SiId,
+        def: &'a SpecialInstruction,
+        fabric: &Fabric,
+    ) -> (ExecutionRecord, Option<(&'a Molecule, &'a [ContainerId])>) {
+        let entry = self.lookup(si, def, fabric);
+        match entry.best {
+            Some(i) => {
+                let m = &def.molecules()[i];
+                let record = ExecutionRecord {
+                    si,
+                    cycles: m.cycles,
+                    hardware: true,
+                };
+                (record, Some((&m.molecule, &entry.touch)))
+            }
+            None => {
+                let record = ExecutionRecord {
+                    si,
+                    cycles: def.sw_cycles(),
+                    hardware: false,
+                };
+                (record, None)
+            }
+        }
     }
 }
 

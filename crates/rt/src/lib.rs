@@ -56,7 +56,7 @@ pub use rotation::{
 pub use selection::{
     DemandWeights, ExhaustiveSelection, GreedySelection, PowerMode, SelectionPolicy, SelectionStage,
 };
-pub use stats::{ExecutionRecord, StatsLedger};
+pub use stats::{ExecutionRecord, RunCounts, StatsLedger};
 // The platform's single time base, re-exported so run-time code can name
 // the shared clock without depending on `rispp-fabric` directly.
 pub use rispp_fabric::clock::Clock;

@@ -42,7 +42,7 @@ use crate::stats::StatsLedger;
 
 pub use crate::rotation::{RetryPolicy, RotationStrategy};
 pub use crate::selection::{ExhaustiveSelection, GreedySelection, PowerMode};
-pub use crate::stats::ExecutionRecord;
+pub use crate::stats::{ExecutionRecord, RunCounts};
 pub use crate::TaskId;
 
 mod builder;
@@ -303,36 +303,112 @@ impl<S: SelectionPolicy, R: RotationSchedulePolicy> RisppManager<S, R> {
     /// Returns [`CoreError::UnknownSi`] when `si` was not issued by this
     /// manager's library.
     pub fn try_execute_si(&mut self, task: TaskId, si: SiId) -> Result<ExecutionRecord, CoreError> {
-        let def = known_si(&self.lib, si)?;
-        let entry = self.dispatch.lookup(si, def, &self.fabric);
-        let best = entry.best.map(|i| &def.molecules()[i]);
-        let record = match best {
-            Some(m) => {
-                command::apply(
-                    &mut self.fabric,
-                    &mut self.ledger,
-                    &Command::Touch(&entry.touch),
-                )
-                .expect("touch is infallible");
-                ExecutionRecord {
-                    si,
-                    cycles: m.cycles,
-                    hardware: true,
-                }
+        let now = self.fabric.now();
+        self.execute_stretch(task, si, now, 0, 1)
+    }
+
+    /// Runs `n` SIs `si` for `task` back to back, each followed by an
+    /// advance of `cost(&record)` cycles: exactly the decisions, events,
+    /// clock and LRU touches of `n` rounds of
+    /// [`RisppManager::execute_si`] and [`RisppManager::advance_to`], at
+    /// the cost of one dispatch per *stretch*.
+    ///
+    /// A stretch is the executions that come before the platform's next
+    /// change of its own accord — the fabric's next self-timed change
+    /// ([`Fabric::next_self_timed_change`]) or the next backoff expiry.
+    /// The first execution always belongs to it (it runs on the state as
+    /// it is); execution *i* at `now + i·cost` belongs to it while that
+    /// cycle is before the horizon. Inside a stretch no container changes
+    /// state and no re-selection runs, so every execution has the same
+    /// record; the stretch touches its containers once, at its last
+    /// execution (a touch keeps the latest cycle), and one advance past
+    /// its end handles the changes at the horizon. `cost` is called once
+    /// per stretch, so it must depend on the record alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownSi`] when `si` was not issued by this
+    /// manager's library; nothing runs then.
+    pub fn try_execute_si_run(
+        &mut self,
+        task: TaskId,
+        si: SiId,
+        n: u64,
+        cost: impl Fn(&ExecutionRecord) -> u64,
+    ) -> Result<RunCounts, CoreError> {
+        known_si(&self.lib, si)?;
+        let mut counts = RunCounts::default();
+        let mut left = n;
+        while left > 0 {
+            let first_at = self.fabric.now();
+            let (record, _) = self.dispatch.execution(si, self.lib.get(si), &self.fabric);
+            let stride = cost(&record);
+            let k = self.stretch_len(stride, left);
+            let last_at = first_at + (k - 1) * stride;
+            if last_at > first_at {
+                self.advance_to(last_at).expect("time only moves forward");
             }
-            None => ExecutionRecord {
-                si,
-                cycles: def.sw_cycles(),
-                hardware: false,
-            },
-        };
+            self.execute_stretch(task, si, first_at, stride, k)?;
+            self.advance_to(last_at + stride)
+                .expect("time only moves forward");
+            if record.hardware {
+                counts.hardware += k;
+            } else {
+                counts.software += k;
+            }
+            left -= k;
+        }
+        Ok(counts)
+    }
+
+    /// How many of the next `left` executions, the first now and each
+    /// next `stride` cycles later, come before the platform's next change
+    /// of its own accord: at least one, all `left` when nothing is
+    /// scheduled.
+    fn stretch_len(&self, stride: u64, left: u64) -> u64 {
+        let now = self.fabric.now();
+        let horizon = [
+            self.fabric.next_self_timed_change(),
+            self.backoff.next_wake_within(now, u64::MAX),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        match horizon {
+            // Execution i ≥ 1 is before `h` while i·stride ≤ h − now − 1.
+            Some(h) if h > now && stride > 0 => left.min(1 + (h - now - 1) / stride),
+            Some(h) if h > now => left,
+            Some(_) => 1,
+            None => left,
+        }
+    }
+
+    /// Executes `n` ≥ 1 SIs `si` for `task` on the Atoms loaded now, the
+    /// first at `first_at` and each next `stride` cycles later, the last
+    /// at the current cycle: touches the dispatched Molecule's containers
+    /// once, now, and emits the run of `SiExecuted` events. The caller
+    /// guarantees that no container changed state since `first_at`.
+    fn execute_stretch(
+        &mut self,
+        task: TaskId,
+        si: SiId,
+        first_at: u64,
+        stride: u64,
+        n: u64,
+    ) -> Result<ExecutionRecord, CoreError> {
+        let def = known_si(&self.lib, si)?;
+        let (record, hardware) = self.dispatch.execution(si, def, &self.fabric);
+        if let Some((_, touch)) = hardware {
+            command::apply(&mut self.fabric, &mut self.ledger, &Command::Touch(touch))
+                .expect("touch is infallible");
+        }
         self.sink
-            .emit_with(self.fabric.now(), || Event::SiExecuted {
+            .emit_run_with(first_at, stride, n, || Event::SiExecuted {
                 task,
                 si,
                 hw: record.hardware,
                 cycles: record.cycles,
-                molecule: best.map(|m| m.molecule.clone()),
+                molecule: hardware.map(|(m, _)| m.clone()),
             });
         Ok(record)
     }

@@ -20,6 +20,17 @@ pub struct ExecutionRecord {
     pub hardware: bool,
 }
 
+/// What a run of executions through
+/// [`RisppManager::try_execute_si_run`](crate::manager::RisppManager::try_execute_si_run)
+/// did: how many of its SIs ran in hardware and how many in software.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Executions on a hardware Molecule.
+    pub hardware: u64,
+    /// Executions in software.
+    pub software: u64,
+}
+
 /// The manager's bill of requested rotations and their bitstream bytes.
 ///
 /// This count stays out of the event stream's folds because no event

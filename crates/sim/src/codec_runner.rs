@@ -109,7 +109,9 @@ pub(crate) fn run_live_encoder(spec: &ShardSpec, sink: SinkHandle) -> CodecRunOu
                 );
                 sse += r.luma_sse;
                 total_bits += r.bits;
-                // Dispatch the macroblock's SI stream through the manager.
+                // Dispatch the macroblock's SI stream through the manager,
+                // one run per SI: each execution is followed by its own
+                // latency (plus the dispatch overhead in hardware).
                 for (si, n) in [
                     (sis.satd_4x4, r.counts.satd_4x4),
                     (sis.dct_4x4, r.counts.dct_4x4),
@@ -117,21 +119,18 @@ pub(crate) fn run_live_encoder(spec: &ShardSpec, sink: SinkHandle) -> CodecRunOu
                     (sis.ht_2x2, r.counts.ht_2x2),
                     (sis.sad_4x4, r.counts.sad_4x4),
                 ] {
-                    for _ in 0..n {
-                        let rec = mgr.execute_si(0, si);
-                        total_si += 1;
-                        if rec.hardware {
-                            hw += 1;
-                        }
-                        let t = mgr.now()
-                            + rec.cycles
-                            + if rec.hardware {
-                                HW_DISPATCH_OVERHEAD
-                            } else {
-                                0
-                            };
-                        mgr.advance_to(t).expect("monotone time");
-                    }
+                    let run = mgr
+                        .try_execute_si_run(0, si, n, |rec| {
+                            rec.cycles
+                                + if rec.hardware {
+                                    HW_DISPATCH_OVERHEAD
+                                } else {
+                                    0
+                                }
+                        })
+                        .expect("the library issued every H.264 SI");
+                    total_si += n;
+                    hw += run.hardware;
                 }
                 // The surrounding plain code of the macroblock.
                 let t = mgr.now() + PLAIN_CYCLES_PER_MB;
