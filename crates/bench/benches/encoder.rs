@@ -26,6 +26,14 @@ fn bench_encoder(c: &mut Criterion) {
     group.bench_function("encode_frame/64x48", |b| {
         b.iter(|| encode_frame(black_box(&f1), black_box(&f0), &config))
     });
+    // One QCIF frame against the frame before it: a codec shard encodes
+    // four of these.
+    let mut qcif = SyntheticVideo::new(176, 144, 0);
+    let q0 = qcif.next_frame();
+    let q1 = qcif.next_frame();
+    group.bench_function("encode_frame/qcif", |b| {
+        b.iter(|| encode_frame(black_box(&q1), black_box(&q0), &config))
+    });
 
     group.bench_function("manager/forecast_rotate_execute", |b| {
         b.iter(|| {

@@ -8,8 +8,10 @@ pub type Block2x2 = [[i32; 2]; 2];
 
 /// The 7×7 reference samples that the 16 SATD candidates of one 4×4
 /// sub-block read: 4×4 blocks at displacements −2..=1 on each axis from
-/// a search centre.
-pub type Window7x7 = [[i32; 7]; 7];
+/// a search centre. Samples stay 8-bit, as the plane holds them, which
+/// bounds every value the candidate search computes (see
+/// [`crate::satd::satd_search_4x4`]).
+pub type Window7x7 = [[u8; 7]; 7];
 
 /// One 8-bit sample plane (luma or chroma) with explicit dimensions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,8 +85,12 @@ impl Plane {
     /// The `N`×`N` samples at `(x, y)`: whole row slices when the square
     /// lies inside the plane, [`Plane::sample`]'s clamp otherwise. Both
     /// read the same samples wherever the square is inside.
-    fn square<const N: usize>(&self, x: isize, y: isize) -> [[i32; N]; N] {
-        let mut out = [[0i32; N]; N];
+    fn square<T: From<u8> + Copy + Default, const N: usize>(
+        &self,
+        x: isize,
+        y: isize,
+    ) -> [[T; N]; N] {
+        let mut out = [[T::default(); N]; N];
         let inside =
             x >= 0 && y >= 0 && x as usize + N <= self.width && y as usize + N <= self.height;
         if inside {
@@ -92,13 +98,13 @@ impl Plane {
             for (r, row) in out.iter_mut().enumerate() {
                 let start = (y + r) * self.width + x;
                 for (v, &s) in row.iter_mut().zip(&self.data[start..start + N]) {
-                    *v = i32::from(s);
+                    *v = T::from(s);
                 }
             }
         } else {
             for (r, row) in out.iter_mut().enumerate() {
                 for (c, v) in row.iter_mut().enumerate() {
-                    *v = i32::from(self.sample(x + c as isize, y + r as isize));
+                    *v = T::from(self.sample(x + c as isize, y + r as isize));
                 }
             }
         }

@@ -247,7 +247,9 @@ pub fn encode_macroblock_into(
         let (oy, ox) = (best / 4, best % 4);
         let mut best_pred = [[0i32; 4]; 4];
         for (p, w) in best_pred.iter_mut().zip(&window[oy..oy + 4]) {
-            p.copy_from_slice(&w[ox..ox + 4]);
+            for (p, &w) in p.iter_mut().zip(&w[ox..ox + 4]) {
+                *p = i32::from(w);
+            }
         }
         let best_disp = ((cx + ox as isize - 2) as i32, (cy + oy as isize - 2) as i32);
         inter_cost_probe += u64::from(best_cost);
@@ -295,7 +297,8 @@ pub fn encode_macroblock_into(
         let coeffs = forward_dct4x4(&residual);
         counts.dct_4x4 += 1;
         let levels = quantize4x4(&coeffs, config.qp);
-        coded_levels += nonzero_count(&levels);
+        let nonzero = nonzero_count(&levels);
+        coded_levels += nonzero;
         let (bxr, byr) = ((sx - bx) / 4, (sy - by) / 4);
         match config.entropy {
             EntropyCoder::ExpGolomb => {
@@ -319,10 +322,15 @@ pub fn encode_macroblock_into(
             }
         }
         // Reconstruction: dequantise, inverse transform, add prediction.
-        // The asserts above keep every row of the sub-block inside
-        // `recon`.
-        let deq = dequantize4x4(&levels, config.qp);
-        let rec_res = inverse_dct4x4(&deq);
+        // All-zero levels inverse-transform to `(0 + 32) >> 6 = 0`, so
+        // such a block (nearly every one at the default QP) skips both
+        // and reconstructs as its prediction. The asserts above keep
+        // every row of the sub-block inside `recon`.
+        let rec_res = if nonzero == 0 {
+            [[0; 4]; 4]
+        } else {
+            inverse_dct4x4(&dequantize4x4(&levels, config.qp))
+        };
         let width = recon.width;
         let samples = recon.data_mut();
         for r in 0..4 {

@@ -243,14 +243,17 @@ impl<'a> BitReader<'a> {
 }
 
 /// Encodes one quantised block: coefficient count `ue`, then per pair
-/// `ue(run)` + `se(level)`. Returns the bit count written.
+/// `ue(run)` + `se(level)`. Returns the bit count written: 1 for an
+/// all-zero block, which ends at its count.
 pub fn encode_block(writer: &mut BitWriter, levels: &Block4x4) -> usize {
     let before = writer.bit_len();
-    let seq = zigzag_scan(levels);
-    writer.put_ue(seq.iter().filter(|&&v| v != 0).count() as u32);
-    for p in run_level_encode(&seq) {
-        writer.put_ue(u32::from(p.run));
-        writer.put_se(p.level);
+    let count = levels.iter().flatten().filter(|&&v| v != 0).count();
+    writer.put_ue(count as u32);
+    if count > 0 {
+        for p in run_level_encode(&zigzag_scan(levels)) {
+            writer.put_ue(u32::from(p.run));
+            writer.put_se(p.level);
+        }
     }
     writer.bit_len() - before
 }

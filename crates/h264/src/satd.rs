@@ -41,7 +41,9 @@ pub fn sad4x4(original: &Block4x4, prediction: &Block4x4) -> u32 {
 /// the transformed magnitudes fits in 32 bits.
 #[must_use]
 pub fn satd4x4(original: &Block4x4, prediction: &Block4x4) -> u32 {
-    satd_of_residual(&residual4x4(original, prediction))
+    let t = hadamard4x4(&residual4x4(original, prediction), false);
+    let sum: u32 = t.iter().flatten().map(|v| v.unsigned_abs()).sum();
+    sum.div_ceil(2)
 }
 
 /// Scores the 16 SATD candidates of one 4×4 sub-block from the
@@ -51,34 +53,94 @@ pub fn satd4x4(original: &Block4x4, prediction: &Block4x4) -> u32 {
 /// Candidate `i` is the 4×4 block at row `i / 4`, column `i % 4` of
 /// `window`, so with the window's top-left corner at the search centre
 /// minus `(2, 2)` it is displacement `(i % 4 − 2, i / 4 − 2)`. Each cost
-/// equals [`satd4x4`] of `original` against that block: both run the
-/// same residual and butterflies, so the search picks the candidate a
-/// per-candidate [`satd4x4`] loop in index order would.
+/// equals [`satd4x4`] of `original` against that block, and the search
+/// keeps the first strict minimum in candidate order, so it picks the
+/// candidate a per-candidate [`satd4x4`] loop in index order would.
+///
+/// The candidates are scored together, one 16-bit lane each, as the
+/// Pack Atom holds its values (DESIGN.md §15, "Candidates as lanes").
+/// The Hadamard's row butterflies are linear, so a residual row's
+/// transform is the original row's minus the window segment's: 4 row
+/// transforms of `original` and 28 of `window` serve all 16 candidates,
+/// where a loop would run 64. The column butterflies, magnitudes and
+/// sums then run on `[i16; 16]` and `[u16; 16]` lanes. With 8-bit
+/// samples a residual row's value stays within ±1,020, a coefficient
+/// within ±4,080 and a candidate's magnitude sum within 16,320, so no
+/// lane overflows.
+///
+/// # Panics
+///
+/// Panics if a sample of `original` lies outside `0..=255`.
 #[must_use]
 pub fn satd_search_4x4(original: &Block4x4, window: &Window7x7) -> (u32, usize) {
-    let mut best = (u32::MAX, 0);
-    for candidate in 0..16 {
-        let (oy, ox) = (candidate / 4, candidate % 4);
-        let mut diff = [[0i32; 4]; 4];
-        for ((d, o), w) in diff.iter_mut().zip(original).zip(&window[oy..oy + 4]) {
-            for ((d, &o), &w) in d.iter_mut().zip(o).zip(&w[ox..ox + 4]) {
-                *d = o - w;
-            }
-        }
-        let cost = satd_of_residual(&diff);
-        if cost < best.0 {
-            best = (cost, candidate);
+    assert!(
+        original.iter().flatten().all(|v| (0..=255).contains(v)),
+        "the SATD search takes 8-bit samples"
+    );
+    // `rows[r][j]`: coefficient `j` of the original's row `r`.
+    let mut rows = [[0i16; 4]; 4];
+    for (t, row) in rows.iter_mut().zip(original) {
+        *t = butterfly(row.map(|v| v as i16));
+    }
+    // Row butterflies of every 4-sample segment of the window. Its rows
+    // sit 8 lanes apart in `samples`, so lane `8·y + x` transforms the
+    // segment at row `y`, column `x`; lanes with `x` of 4 or more run
+    // past their row and are dropped below.
+    let mut samples = [0i16; 59];
+    for (y, row) in window.iter().enumerate() {
+        for (s, &w) in samples[8 * y..].iter_mut().zip(row) {
+            *s = i16::from(w);
         }
     }
-    best
+    let mut transformed = [[0i16; 56]; 4];
+    for lane in 0..56 {
+        let t = butterfly([
+            samples[lane],
+            samples[lane + 1],
+            samples[lane + 2],
+            samples[lane + 3],
+        ]);
+        for (out, t) in transformed.iter_mut().zip(t) {
+            out[lane] = t;
+        }
+    }
+    // `segments[j][4·y + x]`: coefficient `j` of the segment at row `y`,
+    // column `x`. Candidate `i` reads its row `r` at window row
+    // `i / 4 + r`, column `i % 4`, which is index `i + 4·r`: the 16
+    // candidates' row `r` is one contiguous run of 16 lanes.
+    let mut segments = [[0i16; 28]; 4];
+    for (segment, t) in segments.iter_mut().zip(&transformed) {
+        for (y, segment) in segment.chunks_exact_mut(4).enumerate() {
+            segment.copy_from_slice(&t[8 * y..8 * y + 4]);
+        }
+    }
+    let mut sums = [0u16; 16];
+    for (j, segment) in segments.iter().enumerate() {
+        // Column `j` of every candidate's residual through the column
+        // butterflies, one lane per candidate.
+        for (i, sum) in sums.iter_mut().enumerate() {
+            let residual: [i16; 4] = std::array::from_fn(|r| rows[r][j] - segment[i + 4 * r]);
+            for c in butterfly(residual) {
+                *sum += c.unsigned_abs();
+            }
+        }
+    }
+    let mut best = (sums[0].div_ceil(2), 0);
+    for (i, &sum) in sums.iter().enumerate().skip(1) {
+        let cost = sum.div_ceil(2);
+        if cost < best.0 {
+            best = (cost, i);
+        }
+    }
+    (u32::from(best.0), best.1)
 }
 
-/// The one SATD: Hadamard butterflies over a residual, magnitudes
-/// summed and halved with rounding.
-fn satd_of_residual(diff: &Block4x4) -> u32 {
-    let t = hadamard4x4(diff, false);
-    let sum: u32 = t.iter().flatten().map(|v| v.unsigned_abs()).sum();
-    sum.div_ceil(2)
+/// The 4×4 Hadamard's butterflies on one row or column, as
+/// [`hadamard4x4`] runs them.
+#[inline]
+fn butterfly([a, b, c, d]: [i16; 4]) -> [i16; 4] {
+    let (s0, s1, s2, s3) = (a + d, b + c, b - c, a - d);
+    [s0 + s1, s3 + s2, s0 - s1, s3 - s2]
 }
 
 #[cfg(test)]

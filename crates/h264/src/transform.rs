@@ -77,8 +77,8 @@ pub fn inverse_dct4x4(coeffs: &Block4x4) -> Block4x4 {
 /// 16 luma DC coefficients and inside SATD. The H.264 luma-DC variant
 /// halves the result with rounding; pass `halve = true` for that variant.
 #[must_use]
-// Inlined so that SATD's 16 calls per sub-block fold `halve` away and
-// keep the block in registers: the candidate search ran about 40% faster.
+// Inlined so that SATD's calls fold `halve` away and keep the block in
+// registers (the candidate search's own lanes live in `crate::satd`).
 #[inline]
 pub fn hadamard4x4(block: &Block4x4, halve: bool) -> Block4x4 {
     let mut tmp = [[0i32; 4]; 4];

@@ -1,7 +1,8 @@
 //! Property tests on the H.264 kernels: transform linearity, metric
 //! axioms of SAD/SATD, the window search against a per-candidate SATD
-//! loop, quantiser monotonicity, and entropy-codec round-trips on
-//! arbitrary blocks.
+//! loop (on random planes and on the extreme and tied planes random ones
+//! almost never draw), quantiser monotonicity, the all-zero block at
+//! every QP, and entropy-codec round-trips on arbitrary blocks.
 
 use proptest::prelude::*;
 use rispp_h264::block::{Block4x4, Plane};
@@ -24,6 +25,49 @@ fn plane() -> impl Strategy<Value = Plane> {
         proptest::collection::vec(any::<u8>(), w * h)
             .prop_map(move |data| Plane::from_data(w, h, data))
     })
+}
+
+/// The `w`×`h` plane whose sample at `(x, y)` is `sample(x, y)`.
+fn plane_of(w: usize, h: usize, sample: impl Fn(usize, usize) -> u8) -> Plane {
+    let data = (0..w * h).map(|i| sample(i % w, i / w)).collect();
+    Plane::from_data(w, h, data)
+}
+
+/// A plane, with a position whose candidates reach windows wholly
+/// outside it.
+fn placed(p: Plane) -> impl Strategy<Value = (Plane, isize, isize)> {
+    let (w, h) = (p.width as isize, p.height as isize);
+    (Just(p), -9..w + 9, -9..h + 9)
+}
+
+/// The per-candidate oracle of the window search: [`satd4x4`] of every
+/// candidate in index order, keeping the first strict minimum, as
+/// `(cost, (dx, dy))`. Candidate `i` sits at displacement
+/// `(i % 4 − 2, i / 4 − 2)` from `(x, y)`.
+fn per_candidate_search(
+    reference: &Plane,
+    orig: &Block4x4,
+    x: isize,
+    y: isize,
+) -> (u32, (isize, isize)) {
+    let mut expected = (u32::MAX, (0, 0));
+    for i in 0..16isize {
+        let (dx, dy) = (i % 4 - 2, i / 4 - 2);
+        let cand = clamped_block(reference, x + dx, y + dy);
+        assert_eq!(reference.block4x4(x + dx, y + dy), cand);
+        let cost = satd4x4(orig, &cand);
+        if cost < expected.0 {
+            expected = (cost, (dx, dy));
+        }
+    }
+    expected
+}
+
+/// The window search at `(x, y)`, as `(cost, (dx, dy))`.
+fn window_search(reference: &Plane, orig: &Block4x4, x: isize, y: isize) -> (u32, (isize, isize)) {
+    let (cost, i) = satd_search_4x4(orig, &reference.window7x7(x - 2, y - 2));
+    let i = i as isize;
+    (cost, (i % 4 - 2, i / 4 - 2))
 }
 
 /// The 4×4 block at `(x, y)`, read one clamped sample at a time.
@@ -138,27 +182,60 @@ proptest! {
 
     #[test]
     fn window_search_matches_a_per_candidate_satd_loop(
-        (reference, x, y) in plane().prop_flat_map(|p| {
-            let (w, h) = (p.width as isize, p.height as isize);
-            (Just(p), -9..w + 9, -9..h + 9)
-        }),
+        (reference, x, y) in plane().prop_flat_map(placed),
         orig in pixel_block(),
     ) {
-        // Candidate `i` sits at displacement (i % 4 − 2, i / 4 − 2) from
-        // (x, y); positions reach windows wholly outside the plane.
-        let mut expected = (u32::MAX, (0, 0));
-        for i in 0..16isize {
-            let (dx, dy) = (i % 4 - 2, i / 4 - 2);
-            let cand = clamped_block(&reference, x + dx, y + dy);
-            prop_assert_eq!(reference.block4x4(x + dx, y + dy), cand);
-            let cost = satd4x4(&orig, &cand);
-            if cost < expected.0 {
-                expected = (cost, (dx, dy));
-            }
-        }
-        let (cost, i) = satd_search_4x4(&orig, &reference.window7x7(x - 2, y - 2));
-        let i = i as isize;
-        prop_assert_eq!((cost, (i % 4 - 2, i / 4 - 2)), expected);
+        prop_assert_eq!(
+            window_search(&reference, &orig, x, y),
+            per_candidate_search(&reference, &orig, x, y)
+        );
+    }
+
+    #[test]
+    fn window_search_matches_the_loop_on_the_largest_residuals(
+        (reference, x, y) in (1usize..24, 1usize..24).prop_flat_map(|(w, h)| {
+            proptest::collection::vec(any::<bool>(), w * h).prop_map(move |bits| {
+                plane_of(w, h, |x, y| if bits[y * w + x] { 255 } else { 0 })
+            })
+        }).prop_flat_map(placed),
+        orig in proptest::array::uniform4(proptest::array::uniform4(any::<bool>())),
+    ) {
+        // Samples of only 0 and 255: residuals of ±255, the lanes' widest
+        // values (row sums ±1,020, coefficients ±4,080).
+        let orig = orig.map(|row| row.map(|bright| if bright { 255 } else { 0 }));
+        prop_assert_eq!(
+            window_search(&reference, &orig, x, y),
+            per_candidate_search(&reference, &orig, x, y)
+        );
+    }
+
+    #[test]
+    fn window_search_keeps_candidate_zero_on_a_flat_plane(
+        (reference, x, y) in (1usize..24, 1usize..24, any::<u8>())
+            .prop_flat_map(|(w, h, v)| placed(Plane::filled(w, h, v))),
+        orig in pixel_block(),
+    ) {
+        // Every candidate is the same block, so all 16 tie.
+        let found = window_search(&reference, &orig, x, y);
+        prop_assert_eq!(found, per_candidate_search(&reference, &orig, x, y));
+        prop_assert_eq!(found.1, (-2, -2));
+    }
+
+    #[test]
+    fn window_search_keeps_the_first_of_partial_ties(
+        (reference, x, y) in (1usize..24, 1usize..24, any::<bool>()).prop_flat_map(|(w, h, rows)| {
+            // Constant along one axis: candidates one displacement
+            // apart along it are the same block.
+            proptest::collection::vec(any::<u8>(), w.max(h)).prop_map(move |line| {
+                plane_of(w, h, |x, y| if rows { line[y] } else { line[x] })
+            })
+        }).prop_flat_map(placed),
+        orig in pixel_block(),
+    ) {
+        prop_assert_eq!(
+            window_search(&reference, &orig, x, y),
+            per_candidate_search(&reference, &orig, x, y)
+        );
     }
 
     #[test]
@@ -277,4 +354,21 @@ proptest! {
         prop_assert_eq!(w.bit_len(), len);
         prop_assert_eq!(w.as_bytes(), &bytes[..]);
     }
+}
+
+#[test]
+fn an_all_zero_block_reconstructs_to_zeros_and_codes_in_one_bit() {
+    // The encoder skips dequantisation and the inverse transform for
+    // such a block at every QP, and `encode_block` (which takes no QP)
+    // stops at its count.
+    let zeros = [[0i32; 4]; 4];
+    for qp in 0..=51 {
+        assert_eq!(inverse_dct4x4(&dequantize4x4(&zeros, qp)), zeros, "QP {qp}");
+    }
+    let mut w = BitWriter::new();
+    assert_eq!(encode_block(&mut w, &zeros), 1);
+    assert_eq!(w.bit_len(), 1);
+    let bytes = w.into_bytes();
+    let mut r = BitReader::new(&bytes);
+    assert_eq!(decode_block(&mut r), Some(zeros));
 }

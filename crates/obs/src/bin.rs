@@ -625,7 +625,9 @@ impl<W: Write> EventSink for BinarySink<W> {
     /// (`stride`) and their intern-table state (the first record
     /// interned any new Molecule), so they encode to the same bytes:
     /// the second is encoded once and copied, a batch at a time, up to
-    /// each point where `n` emits would write the buffer through.
+    /// each point where `n` emits would write the buffer through. A
+    /// batch fills by doubling: each copy repeats the records already
+    /// in it, so a batch of `k` records takes about `log2 k` copies.
     fn emit_run(&mut self, first_at: u64, stride: u64, n: u64, event: &Event) {
         if n == 0 {
             return;
@@ -656,8 +658,12 @@ impl<W: Write> EventSink for BinarySink<W> {
             // below it here), or all that are left.
             let room = (FLUSH_THRESHOLD - self.buf.len()).div_ceil(len) as u64;
             let batch = left.min(room);
-            for _ in 0..batch {
-                self.buf.extend_from_slice(&record[..len]);
+            let start = self.buf.len();
+            self.buf.extend_from_slice(&record[..len]);
+            let end = start + batch as usize * len;
+            while self.buf.len() < end {
+                let copy = (self.buf.len() - start).min(end - self.buf.len());
+                self.buf.extend_from_within(start..start + copy);
             }
             self.write_full_batch();
             left -= batch;

@@ -13,6 +13,8 @@
 //! method and are checked the same way. Runs reach the sinks through
 //! `SinkHandle::emit_run_with` and through each sink's own `emit_run`;
 //! the oracle sends `n` single events through `SinkHandle::emit_with`.
+//! Deterministic cases place the binary sink's repeated-record fill at
+//! each byte just below a write batch's end, with runs of 2, 3 and more.
 
 use std::cell::RefCell;
 use std::io::{self, Write};
@@ -340,4 +342,93 @@ fn an_empty_run_builds_no_event() {
     handle.emit_run_with(5, 1, 0, || unreachable!("built for an empty run"));
     SinkHandle::null().emit_run_with(5, 1, 3, || unreachable!("built for a null handle"));
     assert!(sink.borrow().timeline().is_empty());
+}
+
+/// Bytes the binary sink buffers before it writes them through
+/// (`FLUSH_THRESHOLD` in `rispp_obs::bin`).
+const BATCH: usize = 8 * 1024;
+
+/// The bytes `steps` encode to, header included.
+fn encoded_len(steps: &[Step]) -> usize {
+    let sink = shared(BinarySink::new(Vec::new()));
+    feed(
+        &SinkHandle::shared(sink.clone()),
+        &[&*sink],
+        steps,
+        Mode::Singles,
+    );
+    take(sink).into_inner().len()
+}
+
+#[test]
+fn a_fill_starting_just_below_a_batch_writes_as_its_events() {
+    // `k` software records, then a hardware run whose repeated records
+    // the sink fills in batches. The fill starts after the run's first
+    // two records, so the buffer then holds what the stream encodes to
+    // with a run of 2. The run's gap sets its first record's length,
+    // which reaches every remainder of the software record's length.
+    let pad = Event::SiExecuted {
+        task: 0,
+        si: SiId(0),
+        hw: false,
+        cycles: 5,
+        molecule: None,
+    };
+    let run_event = Event::SiExecuted {
+        task: 1,
+        si: SiId(2),
+        hw: true,
+        cycles: 12,
+        molecule: Some(molecule(77)),
+    };
+    let stream = |k: u64, gap: u64, n: u64| {
+        vec![
+            Step::Run {
+                gap: 1,
+                stride: 1,
+                n: k,
+                event: pad.clone(),
+            },
+            Step::Run {
+                gap,
+                stride: 24,
+                n,
+                event: run_event.clone(),
+            },
+        ]
+    };
+    let pad_len = encoded_len(&stream(2, 1, 0)) - encoded_len(&stream(1, 1, 0));
+    let record_len = encoded_len(&stream(1, 1, 3)) - encoded_len(&stream(1, 1, 2));
+    let mut checked = 0;
+    // Fills that start with room for one record or two.
+    for fill_start in BATCH - 2 * record_len..BATCH {
+        // Gaps whose varints take 1 to 9 bytes.
+        let (k, gap) = (0..9)
+            .map(|bytes| 1u64 << (7 * bytes))
+            .find_map(|gap| {
+                let base = encoded_len(&stream(1, gap, 2));
+                let short = fill_start.checked_sub(base)?;
+                (short % pad_len == 0).then(|| (1 + (short / pad_len) as u64, gap))
+            })
+            .expect("some gap reaches every remainder");
+        assert_eq!(encoded_len(&stream(k, gap, 2)), fill_start);
+        for n in [2, 3, 4, 5, 2_500] {
+            let steps = stream(k, gap, n);
+            let singles = folded(&steps, Mode::Singles);
+            if n >= 3 && fill_start + record_len >= BATCH {
+                // The third record ends the first batch.
+                assert_eq!(singles.1[0].len(), fill_start + record_len, "n {n}");
+            }
+            for mode in [Mode::Handle, Mode::Direct] {
+                let runs = folded(&steps, mode);
+                assert_eq!(runs.0, singles.0, "fill at {fill_start}, n {n}, {mode:?}");
+                assert!(
+                    runs.1 == singles.1,
+                    "binary writes differ: fill at {fill_start}, n {n}, {mode:?}"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 5 * 2 * record_len);
 }
