@@ -1,10 +1,11 @@
 //! Criterion benchmarks of the end-to-end paths: the Fig. 7 macroblock
-//! encoder, the run-time manager's forecast → rotate → execute loop, and
-//! the full Fig. 6 scenario.
+//! encoder with its video source and bit writer, the run-time manager's
+//! forecast → rotate → execute loop, and the full Fig. 6 scenario.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rispp::h264::block::Plane;
 use rispp::h264::encoder::{encode_frame, encode_macroblock, EncoderConfig};
+use rispp::h264::entropy::BitWriter;
 use rispp::h264::si_library::build_library;
 use rispp::h264::video::SyntheticVideo;
 use rispp::prelude::*;
@@ -59,6 +60,36 @@ fn bench_encoder(c: &mut Criterion) {
 
     group.bench_function("scenario/fig6", |b| b.iter(run_fig6));
     group.finish();
+
+    // The next QCIF frame of the source: a codec shard draws five.
+    let mut video = c.benchmark_group("video");
+    video.bench_function("next_frame/qcif", |b| {
+        let mut source = SyntheticVideo::new(176, 144, 0);
+        b.iter(|| source.next_frame())
+    });
+    video.finish();
+
+    // What a macroblock of a static scene writes: the inter flag, 16
+    // zero motion vectors as 32 `se(0)`, and 24 blocks of count 0; here
+    // for the 99 macroblocks of a QCIF frame, so that the buffer's
+    // growth is amortised as in the encoder.
+    let mut bits = c.benchmark_group("bit_writer");
+    bits.bench_function("zero_blocks/qcif", |b| {
+        b.iter(|| {
+            let mut writer = BitWriter::new();
+            for _ in 0..99 {
+                writer.put_bits(0, 1);
+                for _ in 0..32 {
+                    writer.put_se(black_box(0));
+                }
+                for _ in 0..24 {
+                    writer.put_ue(black_box(0));
+                }
+            }
+            writer.into_bytes()
+        })
+    });
+    bits.finish();
 }
 
 criterion_group!(benches, bench_encoder);

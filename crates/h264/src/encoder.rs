@@ -33,7 +33,7 @@ use crate::cavlc::{encode_cavlc_block, CavlcContext};
 use crate::entropy::{encode_block, BitWriter};
 use crate::intra::{predict4x4_full, IntraMode4x4, INTRA_MODES_4X4};
 use crate::me::full_search_4x4;
-use crate::quant::{dequantize4x4, nonzero_count, quantize4x4};
+use crate::quant::{dead_zone, dequantize4x4, nonzero_count, proves_zero, quantize4x4};
 use crate::satd::{residual4x4, satd4x4, satd_search_4x4};
 use crate::si_library::H264Sis;
 use crate::transform::{forward_dct4x4, hadamard2x2, hadamard4x4, inverse_dct4x4};
@@ -213,6 +213,7 @@ pub fn encode_macroblock_into(
     let mut luma_sse = 0u64;
     let mut dc_coeffs: Block4x4 = [[0i32; 4]; 4];
     let mut luma_totals = [[None::<u8>; 4]; 4];
+    let zone = dead_zone(config.qp);
     let start_bits = writer.bit_len();
 
     // --- Luma: 16 sub-blocks of 4×4 (Fig. 7 main loop). ---
@@ -293,58 +294,41 @@ pub fn encode_macroblock_into(
             writer.put_bits(u32::from(best_mode.number()), 4);
             header_bits += 4;
         }
-        let residual = residual4x4(&orig, &pred);
-        let coeffs = forward_dct4x4(&residual);
-        counts.dct_4x4 += 1;
-        let levels = quantize4x4(&coeffs, config.qp);
-        let nonzero = nonzero_count(&levels);
-        coded_levels += nonzero;
         let (bxr, byr) = ((sx - bx) / 4, (sy - by) / 4);
-        match config.entropy {
-            EntropyCoder::ExpGolomb => {
-                encode_block(writer, &levels);
-            }
-            EntropyCoder::Cavlc => {
-                let ctx = CavlcContext {
-                    left_total: if bxr > 0 {
-                        luma_totals[byr][bxr - 1]
-                    } else {
-                        None
-                    },
-                    top_total: if byr > 0 {
-                        luma_totals[byr - 1][bxr]
-                    } else {
-                        None
-                    },
-                };
-                let (_, total) = encode_cavlc_block(writer, &levels, ctx);
-                luma_totals[byr][bxr] = Some(total);
-            }
-        }
+        let ctx = neighbour_context(&luma_totals, bxr, byr);
+        let (levels, total, dc) =
+            code_residual(writer, &residual4x4(&orig, &pred), config, &zone, ctx);
+        counts.dct_4x4 += 1;
+        coded_levels += usize::from(total);
+        luma_totals[byr][bxr] = Some(total);
         // Reconstruction: dequantise, inverse transform, add prediction.
-        // All-zero levels inverse-transform to `(0 + 32) >> 6 = 0`, so
-        // such a block (nearly every one at the default QP) skips both
-        // and reconstructs as its prediction. The asserts above keep
-        // every row of the sub-block inside `recon`.
-        let rec_res = if nonzero == 0 {
-            [[0; 4]; 4]
-        } else {
+        // All-zero levels inverse-transform to `(0 + 32) >> 6 = 0`, so a
+        // block without a non-zero level (nearly every one at the
+        // default QP, most of them proved so before the transform)
+        // skips both and reconstructs as its prediction. The asserts
+        // above keep every row of the sub-block inside `recon`.
+        let rec_res = if total > 0 {
             inverse_dct4x4(&dequantize4x4(&levels, config.qp))
+        } else {
+            [[0; 4]; 4]
         };
+        // Samples are 8-bit, so one block's squared errors sum to at most
+        // 16 · 255² and fit 32 bits.
         let width = recon.width;
         let samples = recon.data_mut();
+        let mut block_sse = 0u32;
         for r in 0..4 {
             let row = &mut samples[(sy + r) * width + sx..][..4];
             for c in 0..4 {
                 let value = (pred[r][c] + rec_res[r][c]).clamp(0, 255);
                 row[c] = value as u8;
-                let err = i64::from(orig[r][c]) - i64::from(value);
-                luma_sse += (err * err) as u64;
+                let err = orig[r][c] - value;
+                block_sse += (err * err) as u32;
             }
         }
+        luma_sse += u64::from(block_sse);
         // DC coefficient for the luma Hadamard stage.
-        let idx = ((sy - by) / 4) * 4 + (sx - bx) / 4;
-        dc_coeffs[idx / 4][idx % 4] = coeffs[0][0];
+        dc_coeffs[byr][bxr] = dc;
     }
 
     // One 4×4 Hadamard over the 16 DC coefficients.
@@ -360,37 +344,18 @@ pub fn encode_macroblock_into(
         let mut chroma_dc: Block2x2 = [[0i32; 2]; 2];
         let mut chroma_totals = [[None::<u8>; 2]; 2];
         for blk in 0..4 {
-            let sx = cx + (blk % 2) * 4;
-            let sy = cy + (blk / 2) * 4;
+            let (bxr, byr) = (blk % 2, blk / 2);
+            let sx = cx + bxr * 4;
+            let sy = cy + byr * 4;
             let orig = cur.block4x4(sx as isize, sy as isize);
             let pred = refp.block4x4(sx as isize, sy as isize);
-            let coeffs = forward_dct4x4(&residual4x4(&orig, &pred));
+            let ctx = neighbour_context(&chroma_totals, bxr, byr);
+            let (_, total, dc) =
+                code_residual(writer, &residual4x4(&orig, &pred), config, &zone, ctx);
             counts.dct_4x4 += 1;
-            let levels = quantize4x4(&coeffs, config.qp);
-            coded_levels += nonzero_count(&levels);
-            match config.entropy {
-                EntropyCoder::ExpGolomb => {
-                    encode_block(writer, &levels);
-                }
-                EntropyCoder::Cavlc => {
-                    let (bxr, byr) = (blk % 2, blk / 2);
-                    let ctx = CavlcContext {
-                        left_total: if bxr > 0 {
-                            chroma_totals[byr][bxr - 1]
-                        } else {
-                            None
-                        },
-                        top_total: if byr > 0 {
-                            chroma_totals[byr - 1][bxr]
-                        } else {
-                            None
-                        },
-                    };
-                    let (_, total) = encode_cavlc_block(writer, &levels, ctx);
-                    chroma_totals[byr][bxr] = Some(total);
-                }
-            }
-            chroma_dc[blk / 2][blk % 2] = coeffs[0][0];
+            coded_levels += usize::from(total);
+            chroma_totals[byr][bxr] = Some(total);
+            chroma_dc[byr][bxr] = dc;
         }
         let _dc2 = hadamard2x2(&chroma_dc);
         counts.ht_2x2 += 1;
@@ -405,6 +370,62 @@ pub fn encode_macroblock_into(
         bits: writer.bit_len() - start_bits,
         header_bits,
     }
+}
+
+/// The CAVLC context of the block at `(x, y)` of a grid of coded blocks:
+/// the totals of its left and top neighbours, where they exist.
+fn neighbour_context<const N: usize>(
+    totals: &[[Option<u8>; N]; N],
+    x: usize,
+    y: usize,
+) -> CavlcContext {
+    CavlcContext {
+        left_total: x.checked_sub(1).and_then(|left| totals[y][left]),
+        top_total: y.checked_sub(1).and_then(|top| totals[top][x]),
+    }
+}
+
+/// Transforms, quantises and entropy-codes one 4×4 residual. Returns
+/// its levels, their non-zero count (the block's CAVLC total) and the
+/// DC coefficient for the Hadamard stage.
+///
+/// A residual whose sum of absolute values the dead zone proves all
+/// zero (DESIGN.md §15, "Dead zone before the transform") skips the
+/// transform and the quantiser: it codes as count 0, and its DC is its
+/// sum, because row 0 of the transform is all ones.
+fn code_residual(
+    writer: &mut BitWriter,
+    residual: &Block4x4,
+    config: &EncoderConfig,
+    zone: &[u32; 3],
+    ctx: CavlcContext,
+) -> (Block4x4, u8, i32) {
+    let (mut sad, mut sum) = (0u32, 0i32);
+    for row in residual {
+        for &v in row {
+            sad += v.unsigned_abs();
+            sum += v;
+        }
+    }
+    if proves_zero(sad, zone) {
+        match config.entropy {
+            EntropyCoder::ExpGolomb => writer.put_ue(0),
+            EntropyCoder::Cavlc => {
+                encode_cavlc_block(writer, &[[0; 4]; 4], ctx);
+            }
+        }
+        return ([[0; 4]; 4], 0, sum);
+    }
+    let coeffs = forward_dct4x4(residual);
+    let levels = quantize4x4(&coeffs, config.qp);
+    let total = match config.entropy {
+        EntropyCoder::ExpGolomb => {
+            encode_block(writer, &levels);
+            nonzero_count(&levels) as u8
+        }
+        EntropyCoder::Cavlc => encode_cavlc_block(writer, &levels, ctx).1,
+    };
+    (levels, total, coeffs[0][0])
 }
 
 /// Outcome of encoding a whole frame.

@@ -111,24 +111,29 @@ impl BitWriter {
     /// Appends the `count` low bits of `value`, MSB first, filling the
     /// trailing byte before starting the next.
     ///
+    /// The trailing partial byte and the new bits meet in one 64-bit
+    /// accumulator, MSB-aligned (at most 7 + 32 bits). Its eight bytes
+    /// replace the partial byte, and the buffer is then cut back to the
+    /// bytes the bits reach: a fixed number of steps whatever `count`
+    /// and the alignment. The last byte stays zero-padded.
+    ///
     /// # Panics
     ///
     /// Panics if `count > 32`.
     pub fn put_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "at most 32 bits at a time");
-        let mut left = count;
-        while left > 0 {
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            let free = 8 - self.partial;
-            let n = free.min(left);
-            left -= n;
-            let chunk = (value >> left) & ((1 << n) - 1);
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (chunk as u8) << (free - n);
-            self.partial = (self.partial + n) % 8;
-        }
+        let used = u32::from(self.partial);
+        let keep = self.bytes.len() - usize::from(used > 0);
+        let head = self.bytes.get(keep).map_or(0, |&b| u64::from(b) << 56);
+        // Shifting `value` to the top drops its bits above `count`; the
+        // two steps keep every shift below 64.
+        let bits = (u64::from(value) << 32) << (32 - u32::from(count));
+        let acc = head | (bits >> used);
+        let total = used + u32::from(count);
+        self.bytes.truncate(keep);
+        self.bytes.extend_from_slice(&acc.to_be_bytes());
+        self.bytes.truncate(keep + total.div_ceil(8) as usize);
+        self.partial = (total % 8) as u8;
     }
 
     /// Appends an unsigned Exp-Golomb code `ue(v)`.
@@ -145,8 +150,14 @@ impl BitWriter {
             "ue({v}) needs {} leading zeros; at most 31 are readable",
             bits - 1
         );
-        self.put_bits(0, (bits - 1) as u8); // leading zeros
-        self.put_bits(x as u32, bits as u8);
+        // `bits − 1` leading zeros, then `x`: `x` in `2·bits − 1` bits.
+        let len = 2 * bits - 1;
+        if len <= 32 {
+            self.put_bits(x as u32, len as u8);
+        } else {
+            self.put_bits(0, (bits - 1) as u8);
+            self.put_bits(x as u32, bits as u8);
+        }
     }
 
     /// Appends a signed Exp-Golomb code `se(v)` (H.264 mapping:

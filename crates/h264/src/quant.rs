@@ -33,6 +33,19 @@ fn pos_class(r: usize, c: usize) -> usize {
     }
 }
 
+/// The forward quantiser's shift `qbits`, rounding offset `f` and
+/// multipliers at `qp`.
+///
+/// # Panics
+///
+/// Panics if `qp > 51`.
+fn forward_params(qp: u8) -> (u32, i64, &'static [i32; 3]) {
+    assert!(qp <= 51, "H.264 QP range is 0..=51");
+    let qbits = 15 + u32::from(qp / 6);
+    let f = (1i64 << qbits) / 6; // intra rounding offset
+    (qbits, f, &M[usize::from(qp % 6)])
+}
+
 /// Quantises forward-transform coefficients at quantisation parameter
 /// `qp` (0..=51).
 ///
@@ -41,10 +54,7 @@ fn pos_class(r: usize, c: usize) -> usize {
 /// Panics if `qp > 51`.
 #[must_use]
 pub fn quantize4x4(coeffs: &Block4x4, qp: u8) -> Block4x4 {
-    assert!(qp <= 51, "H.264 QP range is 0..=51");
-    let qbits = 15 + u32::from(qp / 6);
-    let f = (1i64 << qbits) / 6; // intra rounding offset
-    let table = &M[usize::from(qp % 6)];
+    let (qbits, f, table) = forward_params(qp);
     let mut out = [[0i32; 4]; 4];
     for r in 0..4 {
         for c in 0..4 {
@@ -55,6 +65,49 @@ pub fn quantize4x4(coeffs: &Block4x4, qp: u8) -> Block4x4 {
         }
     }
     out
+}
+
+/// The dead zone of [`quantize4x4`] at `qp`: per position class
+/// ((even, even), (odd, odd), mixed), the smallest coefficient magnitude
+/// that quantises to a non-zero level, `T = ⌈(2^qbits − f) / m⌉`. A
+/// coefficient `z` of that class quantises to 0 exactly when `|z| < T`,
+/// because its level `(|z|·m + f) >> qbits` is 0 exactly when
+/// `|z|·m < 2^qbits − f`.
+///
+/// # Panics
+///
+/// Panics if `qp > 51`, with [`quantize4x4`]'s message.
+#[must_use]
+pub fn dead_zone(qp: u8) -> [u32; 3] {
+    let (qbits, f, table) = forward_params(qp);
+    let open = (1i64 << qbits) - f;
+    table.map(|m| {
+        let m = i64::from(m);
+        ((open + m - 1) / m) as u32
+    })
+}
+
+/// Bound on a forward-transform coefficient per unit of the residual's
+/// sum of absolute values, per position class: `Cf`'s rows 0 and 2 have
+/// entries of magnitude 1, rows 1 and 3 of at most 2, and coefficient
+/// `(i, j)` weighs each sample by a product of an entry of row `i` and
+/// one of row `j`.
+const SAD_GAIN: [u64; 3] = [1, 4, 2];
+
+/// Whether every coefficient of `forward_dct4x4(r)` lies inside `zone`
+/// (from [`dead_zone`]) for any residual `r` whose absolute values sum
+/// to `sad`, so that the block quantises to all zeros without being
+/// transformed. Per class, a coefficient is at most 1, 4 or 2 times
+/// `sad`, and the test asks that this bound lie below the class's
+/// threshold. The bound is reached: a residual whose only non-zero
+/// sample sits at row 0, column 0 has coefficients `s`, `4s` and `2s`
+/// at positions (0, 0), (1, 1) and (0, 1).
+#[must_use]
+pub fn proves_zero(sad: u32, zone: &[u32; 3]) -> bool {
+    let sad = u64::from(sad);
+    zone.iter()
+        .zip(SAD_GAIN)
+        .all(|(&threshold, gain)| gain * sad < u64::from(threshold))
 }
 
 /// Rescales quantised levels back to transform-domain coefficients

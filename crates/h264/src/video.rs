@@ -51,18 +51,26 @@ impl SyntheticVideo {
         let ox = (8 + 2 * t as usize) % (w.saturating_sub(16).max(1));
         let oy = (8 + t as usize) % (h.saturating_sub(16).max(1));
 
-        let mut y = Vec::with_capacity(w * h);
+        // Each row is a running gradient, `(x + y + t) % 160 + 40`,
+        // plus one noise draw per sample in raster order; the object
+        // then lifts its span of the row. Gradient and noise stay
+        // within 38..=201, so only the lifted samples can clamp.
+        let mut y = vec![0u8; w * h];
         for yy in 0..h {
-            let object_rows = yy >= oy && yy < oy + 16;
-            for xx in 0..w {
-                let gradient = ((xx + yy + t as usize) % 160) as i32 + 40;
-                let object = if object_rows && xx >= ox && xx < ox + 16 {
-                    60
-                } else {
-                    0
-                };
+            let row = &mut y[yy * w..(yy + 1) * w];
+            let mut gradient = (yy + t as usize) % 160;
+            for sample in row.iter_mut() {
                 let noise = self.rng.gen_range(-2i32..=2);
-                y.push((gradient + object + noise).clamp(0, 255) as u8);
+                *sample = (gradient as i32 + 40 + noise) as u8;
+                gradient += 1;
+                if gradient == 160 {
+                    gradient = 0;
+                }
+            }
+            if yy >= oy && yy < oy + 16 {
+                for sample in row.iter_mut().skip(ox).take(16) {
+                    *sample = sample.saturating_add(60);
+                }
             }
         }
         let y = Plane::from_data(w, h, y);
